@@ -31,7 +31,11 @@ from .raster import FORMATS, read_raster, write_raster
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("DESPECKLE_SEED", "0"))
+    text = os.environ.get("DESPECKLE_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidArgumentError(f"DESPECKLE_SEED must be an integer, got {text!r}") from None
 
 
 def _add_format(p):
@@ -224,7 +228,11 @@ def cmd_masks(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except InvalidArgumentError as exc:  # a bad DESPECKLE_SEED, like a bad --seed
+        print(f"despeckle: {exc}", file=sys.stderr)
+        return 2
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -51,6 +51,13 @@ def test_seed_environment_variable(tmp_path, noisy_pair, monkeypatch):
     assert out.read_bytes() == noisy.read_bytes()
 
 
+def test_bad_seed_environment_variable_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("DESPECKLE_SEED", "abc")
+    assert run("masks") == 2
+    err = capsys.readouterr().err
+    assert "DESPECKLE_SEED" in err and "Traceback" not in err
+
+
 def test_filter_subcommand_variants(tmp_path, noisy_pair):
     ph, noisy = noisy_pair
     for name, extra in (

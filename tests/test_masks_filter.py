@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from despeckle import (
@@ -19,6 +23,10 @@ from despeckle import (
     sample,
     unit_speckle,
 )
+from despeckle.divergence import KINDS
+from despeckle.harness import SITUATIONS, corrupt, make_phantom, replicate_stream
+from despeckle.nmfilter import BLOCK_PIXELS
+from despeckle.phantom import default_geometry
 
 
 def stream(*key):
@@ -157,6 +165,21 @@ def test_filter_thread_count_does_not_change_output():
     assert np.array_equal(a.array, b.array)
 
 
+def test_filter_row_blocks_agree_with_filter_pixel():
+    # 72 rows of 128 span three engine blocks, the last one short
+    rng = stream(106)
+    img = Raster(150.0 * unit_speckle(3.0, (72, 128), rng))
+    assert img.array.size > 2 * BLOCK_PIXELS
+    spec = FilterSpec(window=5)
+    out = filter_image(img, spec, threads=2).array
+    assert np.array_equal(out, filter_image(img, spec, threads=1).array)
+    padded = pad_mirror(img, 2)
+    rows_per_block = BLOCK_PIXELS // img.width
+    for r in (0, rows_per_block - 1, rows_per_block, 2 * rows_per_block, img.height - 1):
+        for c in (0, 64, img.width - 1):
+            assert filter_pixel(padded, (r + 2, c + 2), spec) == out[r, c]
+
+
 def test_filter_determinism():
     rng = stream(104)
     img = Raster(55.0 * unit_speckle(1.0, (16, 16), rng))
@@ -174,10 +197,89 @@ def test_filter_handles_zero_pixels():
     out = filter_image(img, spec)
     assert np.all(np.isfinite(out.array))
     assert np.all(out.array >= 0)
-    # the scalar path must agree on windows containing the zeros
+    # filter_pixel must agree with filter_image on windows holding the zeros
     padded = pad_mirror(img, 2)
     assert filter_pixel(padded, (7, 7), spec) == out.array[5, 5]
     assert filter_pixel(padded, (5, 6), spec) == out.array[3, 4]
+
+
+# Frozen from the row-at-a-time engine that preceded the row-block engine.
+# Like perfbench/digests.json, they hold for the numpy and scipy builds they
+# were made with (numpy 2.4.6, scipy 1.17.1); other builds may round
+# differently and need new digests.
+FILTER_DIGESTS = {
+    ("hellinger", 5): "ef9b634bb8d1ca19a9b1b9e32ba0e7476c774f0f476ae30463f5588fb3a1e084",
+    ("hellinger", 7): "cf22c75b3afe77cdc3818379d9f3d42e84bd3d481029c4b43033a6c48c190020",
+    ("kl", 5): "15796c1efd3e2d6af9939fa9365c3032bb1a2dae15d1b14b7a90a6793ab99b6f",
+    ("kl", 7): "86368c5fbf9fae6d3fcf1346a3bcef956cc9b8e95083c4597cc9bfea925d66dd",
+    ("renyi", 5): "724527cdd6ca8eb17ca6cb574935c7ebffcd0f6e15cd225248c914fd62b11ab5",
+    ("renyi", 7): "dbb118c3228c37ade0946a4b9e78331fee2e9a5703f319dd0068fc1aff8a82f8",
+}
+
+
+def situation_strip():
+    """A 32x128 strip: the middle 32x32 of each speckled 64x64 situation
+    (block edge, lines, diagonal, points), side by side."""
+    geom = default_geometry(64)
+    tiles = []
+    for sid in sorted(SITUATIONS):
+        sit = SITUATIONS[sid]
+        noisy = corrupt(make_phantom(geom, sit), sit, replicate_stream(7, sid, 0)).array
+        tiles.append(noisy[16:48, 16:48])
+    return Raster(np.hstack(tiles))
+
+
+@pytest.mark.parametrize("kind,window", sorted(FILTER_DIGESTS))
+def test_filter_output_matches_frozen_digest(kind, window):
+    img = situation_strip()
+    assert img.shape == (32, 128) and img.array.min() > 0  # zero-free
+    out = filter_image(img, FilterSpec(window=window, test=TestConfig(kind=kind)))
+    assert hashlib.sha256(out.array.tobytes()).hexdigest() == FILTER_DIGESTS[kind, window]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(7, 16), st.integers(7, 16)),
+    window=st.sampled_from((5, 7)),
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from((0.0, 0.05, 0.3, 0.9)),
+    block=st.tuples(*[st.integers(0, 16)] * 4),
+)
+def test_filter_defined_on_zeros_and_no_data(shape, window, kind, seed, zero_share, block):
+    # zero pixels and zero (no-data) blocks: a defined, bounded result, no error
+    rng = np.random.default_rng(seed)
+    arr = 100.0 * unit_speckle(2.0, shape, rng)
+    arr[rng.random(shape) < zero_share] = 0.0
+    r0, c0, r1, c1 = block
+    arr[r0:r1, c0:c1] = 0.0
+    img = Raster(arr)
+    spec = FilterSpec(window=window, test=TestConfig(kind=kind))
+    out = filter_image(img, spec).array
+    assert np.all(np.isfinite(out))
+
+    half = window // 2
+    padded = pad_mirror(img, half)
+    wins = sliding_window_view(padded.array, (window, window)).reshape(*shape, -1)
+    lo, hi = wins.min(axis=2), wins.max(axis=2)
+    assert np.all(out >= lo * (1 - 1e-12)) and np.all(out <= hi * (1 + 1e-12))
+    assert np.all(out[hi == 0.0] == 0.0)
+    zero_windows = np.argwhere(lo == 0.0)
+    for r, c in zero_windows[:: max(1, len(zero_windows) // 8)]:
+        assert filter_pixel(padded, (r + half, c + half), spec) == out[r, c]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    value=st.floats(1e-6, 1e6),
+    shape=st.tuples(st.integers(7, 12), st.integers(7, 12)),
+    window=st.sampled_from((5, 7)),
+    kind=st.sampled_from(KINDS),
+)
+def test_filter_constant_image_is_fixed_point(value, shape, window, kind):
+    spec = FilterSpec(window=window, test=TestConfig(kind=kind))
+    out = filter_image(Raster(np.full(shape, value)), spec).array
+    assert np.all(np.abs(out - value) <= 1e-15 * value)
 
 
 def test_extreme_separation_keeps_central_block_only():
