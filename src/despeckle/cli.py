@@ -18,6 +18,7 @@ from .harness import (
     SITUATIONS,
     RunPlan,
     corrupt,
+    fast_plan,
     make_phantom,
     replicate_stream,
     run_protocol,
@@ -177,12 +178,9 @@ def cmd_evaluate(args) -> int:
 
 
 def _parse_montecarlo_plan(args) -> RunPlan:
-    size = 64 if args.fast else 128
-    if args.size:
-        size = args.size
-    replicates = args.replicates
-    if replicates is None:
-        replicates = 20 if args.fast else 100
+    # --size and --replicates override the profile's defaults only when given
+    sizing = {k: v for k, v in (("size", args.size), ("replicates", args.replicates))
+              if v is not None}
     situations = tuple(int(s) for s in args.situations.split(",") if s)
     levels = tuple(float(s) for s in args.levels.split(",") if s)
     filters = []
@@ -192,16 +190,15 @@ def _parse_montecarlo_plan(args) -> RunPlan:
             continue
         kind, _, window = entry.partition(":")
         filters.append((kind, int(window) if window else None))
-    return RunPlan(
+    return (fast_plan if args.fast else RunPlan)(
         situations=situations,
-        replicates=replicates,
         filters=tuple(filters),
         levels=levels,
         master_seed=args.seed,
-        size=size,
         dof=args.dof,
         shared_looks=args.shared,
         renyi_order=args.beta,
+        **sizing,
     )
 
 

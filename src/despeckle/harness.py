@@ -187,13 +187,8 @@ def run_protocol(plan: RunPlan, geom: PhantomGeometry | None = None, threads: in
         raise InvalidArgumentError("geometry size does not match the plan")
     phantoms = {sid: make_phantom(geom, SITUATIONS[sid]) for sid in plan.situations}
     tasks = [(sid, rep) for sid in plan.situations for rep in range(plan.replicates)]
-    if threads <= 1:
-        chunks = [_replicate_rows(plan, geom, phantoms, sid, rep) for sid, rep in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(
-                pool.map(lambda t: _replicate_rows(plan, geom, phantoms, *t), tasks)
-            )
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        chunks = list(pool.map(lambda t: _replicate_rows(plan, geom, phantoms, *t), tasks))
     return [row for chunk in chunks for row in chunk]
 
 

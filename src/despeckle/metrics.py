@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateRegionError, DomainError, InvalidArgumentError
+from .errors import DegenerateRegionError, DespeckleError, DomainError, InvalidArgumentError
 from .phantom import PhantomGeometry
 from .raster import Raster
 
@@ -213,7 +213,9 @@ METRIC_HEADER = ",".join(f.name for f in dataclass_fields(MetricReport))
 def compute_report(
     reference: Raster, test: Raster, geom: PhantomGeometry | None = None
 ) -> MetricReport:
-    """All metrics of `test` against `reference`; failures become None.
+    """All metrics of `test` against `reference`; a metric that raises a
+    DespeckleError or FloatingPointError becomes None, any other error
+    propagates.
 
     With a geometry, ENL is taken over the designated background region of
     the test image and the line/edge deviations are computed; without one,
@@ -225,7 +227,7 @@ def compute_report(
     def attempt(name, fn):
         try:
             values[name] = fn()
-        except Exception:
+        except (DespeckleError, FloatingPointError):
             values[name] = None
 
     if geom is not None:

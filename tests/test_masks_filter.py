@@ -23,7 +23,9 @@ from despeckle import (
     sample,
     unit_speckle,
 )
+from despeckle import nmfilter
 from despeckle.divergence import KINDS
+from despeckle.gamma import solve_looks
 from despeckle.harness import SITUATIONS, corrupt, make_phantom, replicate_stream
 from despeckle.nmfilter import BLOCK_PIXELS
 from despeckle.phantom import default_geometry
@@ -110,6 +112,12 @@ def test_filter_spec_validation():
         FilterSpec(window=5, test=TestConfig(num_tests=4))
 
 
+def test_filter_spec_masks_follow_the_window():
+    assert FilterSpec(window=7).masks == nm_masks(7)
+    with pytest.raises(TypeError):
+        FilterSpec(window=5, masks=nm_masks(5))
+
+
 # ------------------------------------------------------------------- filter
 
 
@@ -166,7 +174,7 @@ def test_filter_thread_count_does_not_change_output():
 
 
 def test_filter_row_blocks_agree_with_filter_pixel():
-    # 72 rows of 128 span three engine blocks, the last one short
+    # 72 rows of 128 span many engine blocks, the last one short
     rng = stream(106)
     img = Raster(150.0 * unit_speckle(3.0, (72, 128), rng))
     assert img.array.size > 2 * BLOCK_PIXELS
@@ -178,6 +186,23 @@ def test_filter_row_blocks_agree_with_filter_pixel():
     for r in (0, rows_per_block - 1, rows_per_block, 2 * rows_per_block, img.height - 1):
         for c in (0, 64, img.width - 1):
             assert filter_pixel(padded, (r + 2, c + 2), spec) == out[r, c]
+
+
+@pytest.mark.parametrize("shared_looks", ["pooled", "sample1"])
+def test_engine_fits_looks_once_per_block(monkeypatch, shared_looks):
+    # all eight region tests of a block share one solve_looks call: the
+    # pooled (centres, 8) fit, or under sample1 the central-block fit
+    sizes = []
+
+    def counting(rhs):
+        sizes.append(np.shape(rhs))
+        return solve_looks(rhs)
+
+    monkeypatch.setattr(nmfilter, "solve_looks", counting)
+    img = Raster(150.0 * unit_speckle(3.0, (6, BLOCK_PIXELS), stream(107)))
+    filter_image(img, FilterSpec(window=5, test=TestConfig(shared_looks=shared_looks)))
+    per_block = (BLOCK_PIXELS, 8) if shared_looks == "pooled" else (BLOCK_PIXELS,)
+    assert sizes == [per_block] * 6
 
 
 def test_filter_determinism():
@@ -203,17 +228,24 @@ def test_filter_handles_zero_pixels():
     assert filter_pixel(padded, (5, 6), spec) == out.array[3, 4]
 
 
-# Frozen from the row-at-a-time engine that preceded the row-block engine.
-# Like perfbench/digests.json, they hold for the numpy and scipy builds they
-# were made with (numpy 2.4.6, scipy 1.17.1); other builds may round
-# differently and need new digests.
+# Frozen from the row-at-a-time engine that preceded the row-block engine;
+# the cases with a variant were frozen from the row-block engine with its
+# per-region loop.  Like perfbench/digests.json, they hold for the numpy and
+# scipy builds they were made with (numpy 2.4.6, scipy 1.17.1); other builds
+# may round differently and need new digests.
 FILTER_DIGESTS = {
-    ("hellinger", 5): "ef9b634bb8d1ca19a9b1b9e32ba0e7476c774f0f476ae30463f5588fb3a1e084",
-    ("hellinger", 7): "cf22c75b3afe77cdc3818379d9f3d42e84bd3d481029c4b43033a6c48c190020",
-    ("kl", 5): "15796c1efd3e2d6af9939fa9365c3032bb1a2dae15d1b14b7a90a6793ab99b6f",
-    ("kl", 7): "86368c5fbf9fae6d3fcf1346a3bcef956cc9b8e95083c4597cc9bfea925d66dd",
-    ("renyi", 5): "724527cdd6ca8eb17ca6cb574935c7ebffcd0f6e15cd225248c914fd62b11ab5",
-    ("renyi", 7): "dbb118c3228c37ade0946a4b9e78331fee2e9a5703f319dd0068fc1aff8a82f8",
+    ("hellinger", 5, ""): "ef9b634bb8d1ca19a9b1b9e32ba0e7476c774f0f476ae30463f5588fb3a1e084",
+    ("hellinger", 7, ""): "cf22c75b3afe77cdc3818379d9f3d42e84bd3d481029c4b43033a6c48c190020",
+    ("kl", 5, ""): "15796c1efd3e2d6af9939fa9365c3032bb1a2dae15d1b14b7a90a6793ab99b6f",
+    ("kl", 7, ""): "86368c5fbf9fae6d3fcf1346a3bcef956cc9b8e95083c4597cc9bfea925d66dd",
+    ("renyi", 5, ""): "724527cdd6ca8eb17ca6cb574935c7ebffcd0f6e15cd225248c914fd62b11ab5",
+    ("renyi", 7, ""): "dbb118c3228c37ade0946a4b9e78331fee2e9a5703f319dd0068fc1aff8a82f8",
+    ("hellinger", 5, "sample1"):
+        "9dd8c09fcf71649954026e053e9d830799edd5fa637c4415e41aaa736d8839ee",
+    ("kl", 7, "dof2"): "f412097e666499df24c1cf6da0e8c5f1ae06c2e3248b7f5f00527b1931a281d5",
+    ("renyi", 5, "zeros"): "8ca2a61cdd62b9d7212b20eb4cfdc3e4cb43ced321e2e3bd56e4b0ccecb429b1",
+    ("hellinger", 7, "zeros-sample1-dof2"):
+        "4c43a1bbb9010d40e602929dc4293324dc5e8c10ab02404876b0ebadff850fff",
 }
 
 
@@ -229,12 +261,32 @@ def situation_strip():
     return Raster(np.hstack(tiles))
 
 
-@pytest.mark.parametrize("kind,window", sorted(FILTER_DIGESTS))
-def test_filter_output_matches_frozen_digest(kind, window):
-    img = situation_strip()
-    assert img.shape == (32, 128) and img.array.min() > 0  # zero-free
-    out = filter_image(img, FilterSpec(window=window, test=TestConfig(kind=kind)))
-    assert hashlib.sha256(out.array.tobytes()).hexdigest() == FILTER_DIGESTS[kind, window]
+def zero_strip():
+    """The situation strip with every 23rd pixel zero and an 8x12 zero block,
+    which holds whole 5x5 and 7x7 windows without a positive value."""
+    arr = situation_strip().array.copy()
+    arr.flat[::23] = 0.0
+    arr[8:16, 40:52] = 0.0
+    return Raster(arr)
+
+
+@pytest.mark.parametrize(
+    "kind,window,variant",
+    [pytest.param(*key, id="-".join(str(k) for k in key if k)) for key in sorted(FILTER_DIGESTS)],
+)
+def test_filter_output_matches_frozen_digest(kind, window, variant):
+    if "zeros" in variant:
+        img = zero_strip()
+    else:
+        img = situation_strip()
+        assert img.shape == (32, 128) and img.array.min() > 0  # zero-free
+    cfg = TestConfig(
+        kind=kind,
+        shared_looks="sample1" if "sample1" in variant else "pooled",
+        dof=2 if "dof2" in variant else 1,
+    )
+    out = filter_image(img, FilterSpec(window=window, test=cfg))
+    assert hashlib.sha256(out.array.tobytes()).hexdigest() == FILTER_DIGESTS[kind, window, variant]
 
 
 @settings(max_examples=60, deadline=None)

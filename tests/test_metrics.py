@@ -23,6 +23,7 @@ from despeckle import (
     sample,
     GammaParams,
 )
+from despeckle import metrics as metrics_module
 from despeckle.harness import SITUATIONS, corrupt, make_phantom, render_phantom, replicate_stream
 from despeckle.metrics import DCON_OFFSET
 
@@ -273,6 +274,18 @@ def test_compute_report_turns_failures_into_na():
     flat = Raster(np.full((16, 16), 4.0))
     report = compute_report(flat, flat)
     assert report.as_csv_row() == ",".join(["NA"] * 11)
+
+
+def test_compute_report_lets_programming_errors_through(monkeypatch):
+    # only metric failures (package and floating-point errors) become NA
+    def broken(x, y):
+        raise TypeError("a bug, not a metric failure")
+
+    monkeypatch.setattr(metrics_module, "laplacian_correlation", broken)
+    rng = stream(316)
+    ref = Raster(rng.uniform(50.0, 150.0, (16, 16)))
+    with pytest.raises(TypeError):
+        compute_report(ref, ref)
 
 
 def test_compute_report_shape_check():
