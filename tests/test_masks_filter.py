@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -114,6 +115,7 @@ def test_filter_spec_validation():
 
 def test_filter_spec_masks_follow_the_window():
     assert FilterSpec(window=7).masks == nm_masks(7)
+    assert dataclasses.replace(FilterSpec(window=5), window=7).masks == nm_masks(7)
     with pytest.raises(TypeError):
         FilterSpec(window=5, masks=nm_masks(5))
 
@@ -174,16 +176,18 @@ def test_filter_thread_count_does_not_change_output():
 
 
 def test_filter_row_blocks_agree_with_filter_pixel():
-    # 72 rows of 128 span many engine blocks, the last one short
+    # 70 rows of 128 span several engine blocks, the last one short
     rng = stream(106)
-    img = Raster(150.0 * unit_speckle(3.0, (72, 128), rng))
-    assert img.array.size > 2 * BLOCK_PIXELS
+    img = Raster(150.0 * unit_speckle(3.0, (70, 128), rng))
+    rows_per_block = max(1, BLOCK_PIXELS // img.width)
+    assert img.height > 2 * rows_per_block
+    assert img.array.size % (rows_per_block * img.width) != 0
     spec = FilterSpec(window=5)
     out = filter_image(img, spec, threads=2).array
     assert np.array_equal(out, filter_image(img, spec, threads=1).array)
     padded = pad_mirror(img, 2)
-    rows_per_block = BLOCK_PIXELS // img.width
-    for r in (0, rows_per_block - 1, rows_per_block, 2 * rows_per_block, img.height - 1):
+    last = img.height // rows_per_block * rows_per_block  # first row of the short block
+    for r in (0, rows_per_block - 1, rows_per_block, 2 * rows_per_block, last, img.height - 1):
         for c in (0, 64, img.width - 1):
             assert filter_pixel(padded, (r + 2, c + 2), spec) == out[r, c]
 
