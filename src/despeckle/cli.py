@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .divergence import TestConfig
+from .divergence import KINDS, TestConfig
 from .errors import DespeckleError, InvalidArgumentError
 from .harness import (
     SITUATIONS,
@@ -50,6 +50,15 @@ def _geometry_for(args, size):
     return default_geometry(size)
 
 
+def _join(values) -> str:
+    """Comma-join list flag values the way the parser reads them back."""
+    return ",".join(str(v) for v in values)
+
+
+def _filters_text(filters) -> str:
+    return _join(kind if window is None else f"{kind}:{window}" for kind, window in filters)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="despeckle",
@@ -76,19 +85,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_corrupt)
 
+    spec = FilterSpec()
     p = sub.add_parser("filter", help="despeckle an image")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--filter", dest="kind", default="hellinger",
-                   choices=("hellinger", "kl", "renyi", "lee"))
-    p.add_argument("--window", type=int, choices=(5, 7), default=5)
-    p.add_argument("--alpha", type=float, default=0.2,
-                   help="overall significance of the 8-test series (default 0.2)")
-    p.add_argument("--beta", type=float, default=0.5, help="Renyi order in (0,1)")
-    p.add_argument("--looks", type=float, default=1.0,
-                   help="nominal looks for the lee filter (default 1)")
-    p.add_argument("--dof", type=int, choices=(1, 2), default=1)
-    p.add_argument("--shared", choices=("pooled", "sample1"), default="pooled",
+    p.add_argument("--filter", dest="kind", default=spec.test.kind, choices=KINDS + ("lee",))
+    p.add_argument("--window", type=int, choices=(5, 7), default=spec.window)
+    p.add_argument("--alpha", type=float, default=spec.test.alpha,
+                   help="overall significance of the 8-test series (default %(default)s)")
+    p.add_argument("--beta", type=float, default=spec.test.renyi_order,
+                   help="Renyi order in (0,1)")
+    p.add_argument("--looks", type=float, default=LeeSpec().nominal_looks,
+                   help="nominal looks for the lee filter (default %(default)s)")
+    p.add_argument("--dof", type=int, choices=(1, 2), default=spec.test.dof)
+    p.add_argument("--shared", choices=("pooled", "sample1"), default=spec.test.shared_looks,
                    help="looks estimate shared by the test statistics")
     p.add_argument("--threads", type=int, default=1)
     _add_format(p)
@@ -103,21 +113,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_evaluate)
 
+    plan = RunPlan()
     p = sub.add_parser("montecarlo", help="run the simulation protocol, write a CSV")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--fast", action="store_true", help="64x64 phantom, 20 replicates")
     p.add_argument("--size", type=int, choices=(64, 128))
     p.add_argument("--replicates", type=int)
-    p.add_argument("--situations", default="1,2,3,4",
+    p.add_argument("--situations", default=_join(plan.situations),
                    help="comma-separated subset of 1..4")
-    p.add_argument("--levels", default="0.2",
+    p.add_argument("--levels", default=_join(plan.levels),
                    help="comma-separated overall significance levels")
-    p.add_argument("--filters", default="input,lee:5,lee:7,hellinger:5,hellinger:7",
+    p.add_argument("--filters", default=_filters_text(plan.filters),
                    help="comma-separated kind[:window] entries")
-    p.add_argument("--dof", type=int, choices=(1, 2), default=1)
-    p.add_argument("--shared", choices=("pooled", "sample1"), default="pooled")
-    p.add_argument("--beta", type=float, default=0.5)
+    p.add_argument("--dof", type=int, choices=(1, 2), default=plan.dof)
+    p.add_argument("--shared", choices=("pooled", "sample1"), default=plan.shared_looks)
+    p.add_argument("--beta", type=float, default=plan.renyi_order)
     p.add_argument("--geometry", help="geometry file replacing the built-in layout")
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_montecarlo)
@@ -153,7 +164,6 @@ def cmd_filter(args) -> int:
             kind=args.kind,
             renyi_order=args.beta,
             alpha=args.alpha,
-            num_tests=8,
             dof=args.dof,
             shared_looks=args.shared,
         )
@@ -210,9 +220,8 @@ def cmd_montecarlo(args) -> int:
     echo = (
         "despeckle montecarlo"
         f" --seed {plan.master_seed} --size {plan.size} --replicates {plan.replicates}"
-        f" --situations {','.join(str(s) for s in plan.situations)}"
-        f" --levels {','.join(repr(v) for v in plan.levels)}"
-        f" --filters {','.join(k if w is None else f'{k}:{w}' for k, w in plan.filters)}"
+        f" --situations {_join(plan.situations)} --levels {_join(plan.levels)}"
+        f" --filters {_filters_text(plan.filters)}"
         f" --dof {plan.dof} --shared {plan.shared_looks} --beta {repr(plan.renyi_order)}"
     )
     write_csv(rows, args.out, comments=(echo,))

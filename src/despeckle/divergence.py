@@ -3,8 +3,12 @@
 Each statistic compares the estimated mean backscatter of two samples under
 a common looks value and is asymptotically chi-square distributed under the
 null hypothesis of equal parameters, which turns it into a p-value test.
-The family-wise significance over a series of tests is controlled by the
-Sidak per-test level.
+The family-wise significance over the series of NUM_TESTS tests, one per
+oriented Nagao-Matsuyama region, is controlled by the Sidak per-test level.
+
+Each formula is written once, in its ``*_stat_array`` form, which the filter
+engine calls on whole blocks.  The scalar ``hellinger_stat``, ``kl_stat``
+and ``renyi_stat`` validate their inputs and return that array form's value.
 """
 
 from __future__ import annotations
@@ -15,19 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DespeckleError, DomainError, InvalidArgumentError
+from .errors import DomainError, InvalidArgumentError
 from .gamma import GammaParams, mle
 
 KINDS = ("hellinger", "kl", "renyi")
 
-# Statistics may land a hair below zero through floating-point cancellation;
-# anything this close to zero clamps, anything further is a genuine bug.
-_NEGATIVE_SLACK = 1e-12
+# The filter tests each of the eight oriented regions against the central block.
+NUM_TESTS = 8
 
 
 @dataclass(frozen=True)
 class TestConfig:
-    """Configuration for one family of region tests.
+    """Configuration for the series of NUM_TESTS (8) region tests.
 
     shared_looks selects the looks estimate plugged into the statistic:
     "pooled" fits the concatenation of both samples (default; calibrates
@@ -39,7 +42,6 @@ class TestConfig:
     kind: str = "hellinger"
     renyi_order: float = 0.5
     alpha: float = 0.2
-    num_tests: int = 8
     dof: int = 1
     shared_looks: str = "pooled"
 
@@ -50,8 +52,6 @@ class TestConfig:
             raise InvalidArgumentError("renyi_order must be in (0, 1)")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidArgumentError("alpha must be in (0, 1)")
-        if self.num_tests < 1:
-            raise InvalidArgumentError("num_tests must be >= 1")
         if self.dof not in (1, 2):
             raise InvalidArgumentError("dof must be 1 or 2")
         if self.shared_looks not in ("pooled", "sample1"):
@@ -85,55 +85,26 @@ def _check_stat_inputs(mean1, mean2, m, n, looks):
         raise DomainError("shared looks must be >= 1")
 
 
-def _clamp(value: float) -> float:
-    if value < 0.0:
-        if value < -_NEGATIVE_SLACK:
-            raise DespeckleError(f"statistic {value} below the numerical slack")
-        return 0.0
-    return value
-
-
 def hellinger_stat(p1: GammaParams, pi: GammaParams, m: int, n: int, shared_L: float) -> float:
-    """(8mn/(m+n)) * (1 - 2^L (l1 li)^(L/2) / (l1 + li)^L), log-domain."""
-    l1, li = p1.mean, pi.mean
-    _check_stat_inputs(l1, li, m, n, shared_L)
-    if l1 == li:
-        return 0.0
-    log_bc = math.log(2.0) + 0.5 * (math.log(l1) + math.log(li)) - math.log(l1 + li)
-    return _clamp((8.0 * m * n / (m + n)) * -math.expm1(shared_L * log_bc))
+    """hellinger_stat_array on one validated pair of fits."""
+    _check_stat_inputs(p1.mean, pi.mean, m, n, shared_L)
+    return float(hellinger_stat_array(p1.mean, pi.mean, m, n, shared_L))
 
 
 def kl_stat(p1: GammaParams, pi: GammaParams, m: int, n: int, shared_L: float) -> float:
-    """(2mn/(m+n)) * L * ((l1^2 + li^2)/(2 l1 li) - 1).
-
-    Evaluated as L (l1 - li)^2 / (2 l1 li), the algebraically identical
-    form that cannot go negative.
-    """
-    l1, li = p1.mean, pi.mean
-    _check_stat_inputs(l1, li, m, n, shared_L)
-    if l1 == li:
-        return 0.0
-    return _clamp((2.0 * m * n / (m + n)) * shared_L * (l1 - li) ** 2 / (2.0 * l1 * li))
+    """kl_stat_array on one validated pair of fits."""
+    _check_stat_inputs(p1.mean, pi.mean, m, n, shared_L)
+    return float(kl_stat_array(p1.mean, pi.mean, m, n, shared_L))
 
 
 def renyi_stat(
     p1: GammaParams, pi: GammaParams, m: int, n: int, shared_L: float, beta: float = 0.5
 ) -> float:
-    """Order-beta statistic; beta(beta-1) < 0 and log-argument <= 1 keep it >= 0."""
+    """renyi_stat_array on one validated pair of fits."""
     if not 0.0 < beta < 1.0:
         raise InvalidArgumentError("beta must be in (0, 1)")
-    l1, li = p1.mean, pi.mean
-    _check_stat_inputs(l1, li, m, n, shared_L)
-    if l1 == li:
-        return 0.0
-    log_arg = (
-        math.log(l1)
-        + math.log(li)
-        - math.log(beta * li + (1.0 - beta) * l1)
-        - math.log(beta * l1 + (1.0 - beta) * li)
-    )
-    scale = shared_L / (2.0 * beta * (beta - 1.0))
-    return _clamp((2.0 * m * n / (m + n)) * scale * log_arg)
+    _check_stat_inputs(p1.mean, pi.mean, m, n, shared_L)
+    return float(renyi_stat_array(p1.mean, pi.mean, m, n, shared_L, beta))
 
 
 def chi2_survival(s: float, dof: int) -> float:
@@ -162,25 +133,32 @@ def run_test(sample1, sample_i, cfg: TestConfig) -> TestOutcome:
     else:
         stat = renyi_stat(fit1.params, fit_i.params, m, n, shared, cfg.renyi_order)
     p = chi2_survival(stat, cfg.dof)
-    return TestOutcome(stat, p, p <= sidak_level(cfg.alpha, cfg.num_tests))
+    return TestOutcome(stat, p, p <= sidak_level(cfg.alpha, NUM_TESTS))
 
 
 # ---------------------------------------------------------------------------
-# array forms used by the filter engine (identical arithmetic, no validation)
+# the statistics, element-wise over arrays (no validation).  Equal means give
+# exactly 0; rounding below 0 clamps to 0.
 
 
 def hellinger_stat_array(mean1, mean_i, m, n, looks):
+    """(8mn/(m+n)) * (1 - 2^L (l1 li)^(L/2) / (l1 + li)^L), log-domain."""
     log_bc = np.log(2.0) + 0.5 * (np.log(mean1) + np.log(mean_i)) - np.log(mean1 + mean_i)
     raw = (8.0 * m * n / (m + n)) * -np.expm1(looks * log_bc)
     return np.where(mean1 == mean_i, 0.0, np.maximum(raw, 0.0))
 
 
 def kl_stat_array(mean1, mean_i, m, n, looks):
-    raw = (2.0 * m * n / (m + n)) * looks * (mean1 - mean_i) ** 2 / (2.0 * mean1 * mean_i)
+    """(2mn/(m+n)) * L * ((l1^2 + li^2)/(2 l1 li) - 1), evaluated as
+    L (l1 - li)^2 / (2 l1 li), the algebraically identical form that cannot
+    go negative.  np.square, unlike ** 2 on a scalar (C pow), rounds the same
+    for scalars and arrays."""
+    raw = (2.0 * m * n / (m + n)) * looks * np.square(mean1 - mean_i) / (2.0 * mean1 * mean_i)
     return np.where(mean1 == mean_i, 0.0, np.maximum(raw, 0.0))
 
 
 def renyi_stat_array(mean1, mean_i, m, n, looks, beta):
+    """Order-beta statistic; beta(beta-1) < 0 and log-argument <= 1 keep it >= 0."""
     log_arg = (
         np.log(mean1)
         + np.log(mean_i)

@@ -20,6 +20,10 @@ from .errors import DomainError, InvalidArgumentError
 
 L_MAX = 1.0e4
 
+# Exact zeros are fitted as ZERO_SHIFT times the smallest positive value, which
+# keeps log z finite.
+ZERO_SHIFT = 1e-6
+
 # Bump this whenever the variate-generation algorithm below changes in any
 # way that alters the stream of produced values for a given seed.
 GAMMA_ALGORITHM_VERSION = 1
@@ -45,7 +49,7 @@ class FitResult:
 
     degenerate  -- the sample had (numerically) zero log-dispersion, so the
                    looks estimate was clamped to L_MAX.
-    zero_shifted -- exact zeros were replaced by (smallest positive value)*1e-6
+    zero_shifted -- exact zeros were replaced by (smallest positive value)*ZERO_SHIFT
                    before fitting, to keep log z finite.
     """
 
@@ -166,7 +170,7 @@ def mle(values) -> FitResult:
 
     lambda-hat is the closed-form sample mean; L-hat solves
     ln L - digamma(L) = ln(mean) - mean(ln z).  Exact zeros are shifted to
-    (smallest positive value) * 1e-6 with a flag; a constant sample clamps
+    (smallest positive value) * ZERO_SHIFT with a flag; a constant sample clamps
     L-hat to L_MAX with the degeneracy flag.
     """
     z = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -179,7 +183,7 @@ def mle(values) -> FitResult:
         positive = z[z > 0]
         if positive.size == 0:
             raise DomainError("mle requires at least one positive value")
-        z = np.where(z == 0, positive.min() * 1e-6, z)
+        z = np.where(z == 0, positive.min() * ZERO_SHIFT, z)
         zero_shifted = True
     mean = float(z.mean())
     rhs = math.log(mean) - float(np.log(z).mean())

@@ -139,7 +139,6 @@ def _apply_filter(kind, window, corrupted, sit, level, plan, threads):
         kind=kind,
         renyi_order=plan.renyi_order,
         alpha=level,
-        num_tests=8,
         dof=plan.dof,
         shared_looks=plan.shared_looks,
     )

@@ -12,9 +12,10 @@ centre pixel, so a one-pixel point fills 1 of its 7 cells against 1 of the
 central block's 9, the tests almost never reject, and the output is the
 window mean.
 
-Zero or no-data pixels: the tests see each zero as 1e-6 times the smallest
-positive value of its window (``mle``'s shift, once per window); the output
-still averages the raw cells, and a window with no positive value gives 0.
+Zero or no-data pixels: the tests see each zero as ZERO_SHIFT (1e-6) times
+the smallest positive value of its window (``mle``'s shift, once per window);
+the output still averages the raw cells, and a window with no positive value
+gives 0.
 
 The oriented regions follow the classical Nagao-Matsuyama layout: 7 offsets
 each in the 5x5 window (12 in the 7x7), including the centre pixel, so they
@@ -34,6 +35,7 @@ import numpy as np
 from scipy import special
 
 from .divergence import (
+    NUM_TESTS,
     TestConfig,
     hellinger_stat_array,
     kl_stat_array,
@@ -41,7 +43,7 @@ from .divergence import (
     sidak_level,
 )
 from .errors import InvalidArgumentError, OutOfBoundsError
-from .gamma import solve_looks
+from .gamma import ZERO_SHIFT, solve_looks
 from .raster import Raster, pad_mirror
 
 REGION_NAMES = (
@@ -161,8 +163,6 @@ class FilterSpec:
     def __post_init__(self):
         if self.window not in (5, 7):
             raise InvalidArgumentError(f"window must be 5 or 7, got {self.window}")
-        if self.test.num_tests != 8:
-            raise InvalidArgumentError("the filter runs 8 tests; test.num_tests must be 8")
 
     @property
     def masks(self) -> tuple:
@@ -204,14 +204,14 @@ def _shift_zeros(win: np.ndarray) -> np.ndarray:
     docstring says (a window without a positive cell scales by 1)."""
     lowest = np.where(win > 0.0, win, np.inf).min(axis=1, keepdims=True)
     lowest[np.isinf(lowest)] = 1.0
-    return np.where(win == 0.0, 1e-6 * lowest, win)
+    return np.where(win == 0.0, ZERO_SHIFT * lowest, win)
 
 
 def _filter_centers(padded: np.ndarray, rows, cols, spec: FilterSpec, plan) -> np.ndarray:
     """All eight region tests of every centre in one stacked pass."""
     half, drs, dcs, central, gathers, indicators = plan
     cfg = spec.test
-    eta = sidak_level(cfg.alpha, cfg.num_tests)
+    eta = sidak_level(cfg.alpha, NUM_TESTS)
     win = padded[rows[:, None] + half + drs[None, :], cols[:, None] + half + dcs[None, :]]
 
     w = _shift_zeros(win)

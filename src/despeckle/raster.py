@@ -248,4 +248,7 @@ def _read_pgm(path) -> Raster:
     if len(payload) != 2 * width * height:
         raise FormatError("pgm raster: truncated pixel data")
     arr = np.frombuffer(payload, dtype=">u2").astype(np.float64).reshape(height, width)
-    return Raster(arr)
+    try:
+        return Raster(arr)
+    except InvalidArgumentError as exc:
+        raise FormatError(str(exc)) from exc

@@ -1,7 +1,10 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
-from despeckle import METRIC_HEADER, cli, read_raster
+from despeckle import METRIC_HEADER, FilterSpec, LeeSpec, RunPlan, cli, fast_plan, read_raster
 from despeckle.harness import read_csv_rows
 
 
@@ -56,6 +59,39 @@ def test_bad_seed_environment_variable_is_usage_error(monkeypatch, capsys):
     assert run("masks") == 2
     err = capsys.readouterr().err
     assert "DESPECKLE_SEED" in err and "Traceback" not in err
+
+
+def test_parser_defaults_are_the_library_defaults(monkeypatch):
+    monkeypatch.delenv("DESPECKLE_SEED", raising=False)
+    parser = cli.build_parser()
+    plain = parser.parse_args(["montecarlo", "--out", "x.csv"])
+    assert cli._parse_montecarlo_plan(plain) == RunPlan()
+    fast = parser.parse_args(["montecarlo", "--fast", "--out", "x.csv"])
+    assert cli._parse_montecarlo_plan(fast) == fast_plan()
+
+    args = parser.parse_args(["filter", "--in", "a.raw", "--out", "b.raw"])
+    test = FilterSpec().test
+    assert (args.kind, args.alpha, args.beta, args.dof, args.shared) == (
+        test.kind, test.alpha, test.renyi_order, test.dof, test.shared_looks
+    )
+    assert args.window == FilterSpec().window == LeeSpec().window
+    assert args.looks == LeeSpec().nominal_looks
+
+
+def test_montecarlo_defaults_follow_the_plan(monkeypatch):
+    @dataclasses.dataclass(frozen=True)
+    class OtherPlan(RunPlan):
+        situations: tuple = (2, 3)
+        filters: tuple = (("input", None), ("kl", 7))
+        levels: tuple = (0.05, 0.1)
+        dof: int = 2
+        shared_looks: str = "sample1"
+        renyi_order: float = 0.25
+
+    monkeypatch.delenv("DESPECKLE_SEED", raising=False)
+    monkeypatch.setattr(cli, "RunPlan", OtherPlan)
+    args = cli.build_parser().parse_args(["montecarlo", "--out", "x.csv"])
+    assert cli._parse_montecarlo_plan(args) == OtherPlan()
 
 
 def test_filter_subcommand_variants(tmp_path, noisy_pair):
@@ -170,7 +206,15 @@ def test_usage_error_prints_usage(tmp_path, capsys):
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):
+    # a malformed raster is a runtime error in every format, not a usage error
     junk = tmp_path / "junk.raw"
     junk.write_bytes(b"not a raster at all")
-    assert run("filter", "--in", str(junk), "--out", str(tmp_path / "x.raw")) == 1
-    assert "despeckle:" in capsys.readouterr().err
+    empty_raw = tmp_path / "empty.raw"
+    empty_raw.write_bytes(struct.pack("<4sIII", b"SPKL", 0, 4, 1))
+    empty_pgm = tmp_path / "empty.pgm"
+    empty_pgm.write_bytes(b"P5\n0 4\n65535\n")
+    for path, fmt in ((junk, "raw"), (empty_raw, "raw"), (empty_pgm, "pgm")):
+        assert run("filter", "--in", str(path), "--format", fmt,
+                   "--out", str(tmp_path / "x.out")) == 1
+        err = capsys.readouterr().err
+        assert "despeckle:" in err and "usage:" not in err

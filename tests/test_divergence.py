@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate, special
 
 from despeckle import (
-    DespeckleError,
     DomainError,
     GammaParams,
     InvalidArgumentError,
@@ -19,7 +18,7 @@ from despeckle import (
     sidak_level,
 )
 from despeckle.divergence import (
-    _clamp,
+    KINDS,
     hellinger_stat_array,
     kl_stat_array,
     renyi_stat_array,
@@ -148,13 +147,6 @@ def test_statistic_input_validation():
         renyi_stat(P1, P3, 9, 9, 1.0, 1.5)
 
 
-def test_negative_clamp_slack():
-    assert _clamp(-1e-13) == 0.0
-    assert _clamp(0.0) == 0.0
-    with pytest.raises(DespeckleError):
-        _clamp(-1e-9)
-
-
 def test_array_forms_match_scalar_forms():
     m1 = np.array([1.0, 2.0, 7.0])
     m2 = np.array([3.0, 2.0, 1.5])
@@ -169,6 +161,24 @@ def test_array_forms_match_scalar_forms():
         assert k[i] == kl_stat(pa, pb, 9, 7, looks[i])
         assert r[i] == renyi_stat(pa, pb, 9, 7, looks[i], 0.5)
     assert h[1] == 0.0 and k[1] == 0.0 and r[1] == 0.0
+
+
+def test_scalar_forms_equal_array_elements_bit_for_bit():
+    # the scalar statistics run the engine's arithmetic, so a scalar call
+    # gives exactly the element the engine computes for the same inputs
+    rng = stream(79)
+    size = 3000
+    m1 = np.exp(rng.uniform(-5.0, 8.0, size))
+    m2 = m1 * np.exp(rng.normal(0.0, 0.3, size))
+    looks = np.exp(rng.uniform(0.0, 9.2, size))
+    h = hellinger_stat_array(m1, m2, 9, 7, looks)
+    k = kl_stat_array(m1, m2, 9, 7, looks)
+    r = renyi_stat_array(m1, m2, 9, 7, looks, 0.3)
+    for i in range(size):
+        pa, pb = GammaParams(1.0, m1[i]), GammaParams(1.0, m2[i])
+        assert hellinger_stat(pa, pb, 9, 7, looks[i]) == h[i]
+        assert kl_stat(pa, pb, 9, 7, looks[i]) == k[i]
+        assert renyi_stat(pa, pb, 9, 7, looks[i], 0.3) == r[i]
 
 
 # ---------------------------------------------------------------- chi-square
@@ -224,7 +234,7 @@ def test_config_validation():
         TestConfig(dof=3)
     with pytest.raises(InvalidArgumentError):
         TestConfig(shared_looks="sample2")
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(TypeError):  # the series length is fixed, not a setting
         TestConfig(num_tests=0)
 
 
@@ -233,6 +243,20 @@ def test_run_test_identical_samples():
     out = run_test(z, z.copy(), TestConfig())
     assert out.statistic == 0.0
     assert out.p_value == 1.0
+    assert not out.rejected
+
+
+@pytest.mark.parametrize("value", [997.2004811438509, 1.814060134237397])
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_test_accepts_constant_samples(kind, value):
+    # Two constant samples of one value: their means differ in the last bit
+    # and the pooled looks clamp to L_MAX.  Rounding error grows with
+    # L * 8mn/(m+n), so the hellinger and renyi forms can land ~1e-10 below
+    # zero; that clamps to 0, as in the filter engine.  The kl form cannot go
+    # negative and gives ~1e-27.
+    out = run_test(np.full(9, value), np.full(7, value), TestConfig(kind=kind))
+    assert out.statistic == pytest.approx(0.0, abs=1e-20)
+    assert out.p_value == pytest.approx(1.0)
     assert not out.rejected
 
 

@@ -109,7 +109,7 @@ def test_filter_spec_validation():
     FilterSpec(window=7)
     with pytest.raises(InvalidArgumentError):
         FilterSpec(window=4)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(TypeError):  # the series length is fixed, not a setting
         FilterSpec(window=5, test=TestConfig(num_tests=4))
 
 
@@ -291,6 +291,29 @@ def test_filter_output_matches_frozen_digest(kind, window, variant):
     )
     out = filter_image(img, FilterSpec(window=window, test=cfg))
     assert hashlib.sha256(out.array.tobytes()).hexdigest() == FILTER_DIGESTS[kind, window, variant]
+
+
+def differing_share(a, b):
+    """Share of pixels where two outputs differ by more than 1e-9 relative."""
+    return float(np.mean(np.abs(a - b) > 1e-9 * np.abs(b)))
+
+
+@pytest.mark.parametrize("window", [5, 7])
+@pytest.mark.parametrize("kind", ["hellinger", "kl"])
+def test_filter_is_rotation_and_scale_equivariant(kind, window):
+    # Rotating the masks a quarter turn maps the region set onto itself, and
+    # scaling by 2^k scales every sum exactly; only the summation order and
+    # the rounding of the logs change, which may flip a test decision at a
+    # tie.  Bound: at most 0.1 % of the pixels differ by more than 1e-9
+    # relative.
+    img = situation_strip()
+    spec = FilterSpec(window=window, test=TestConfig(kind=kind))
+    out = filter_image(img, spec).array
+    rotated = filter_image(Raster(np.rot90(img.array)), spec).array
+    assert differing_share(rotated, np.rot90(out)) <= 1e-3
+    for k in (-3, 5):
+        scaled = filter_image(Raster(2.0**k * img.array), spec).array
+        assert differing_share(scaled, 2.0**k * out) <= 1e-3
 
 
 @settings(max_examples=60, deadline=None)
