@@ -20,9 +20,7 @@ from .errors import DomainError, InvalidArgumentError
 
 L_MAX = 1.0e4
 
-# Exact zeros are fitted as ZERO_SHIFT times the smallest positive value, which
-# keeps log z finite.
-ZERO_SHIFT = 1e-6
+ZERO_SHIFT = 1e-6  # see shift_zeros
 
 # Bump this whenever the variate-generation algorithm below changes in any
 # way that alters the stream of produced values for a given seed.
@@ -49,8 +47,7 @@ class FitResult:
 
     degenerate  -- the sample had (numerically) zero log-dispersion, so the
                    looks estimate was clamped to L_MAX.
-    zero_shifted -- exact zeros were replaced by (smallest positive value)*ZERO_SHIFT
-                   before fitting, to keep log z finite.
+    zero_shifted -- exact zeros were shifted by shift_zeros before fitting.
     """
 
     params: GammaParams
@@ -132,6 +129,15 @@ def unit_speckle(looks: float, shape: tuple, stream: np.random.Generator) -> np.
 # maximum likelihood
 
 
+def shift_zeros(z) -> np.ndarray:
+    """z with each exact zero replaced by ZERO_SHIFT times the smallest
+    positive value along the last axis, which keeps log z finite; a row
+    without a positive value scales by 1."""
+    lowest = np.where(z > 0.0, z, np.inf).min(axis=-1, keepdims=True)
+    lowest[np.isinf(lowest)] = 1.0
+    return np.where(z == 0.0, ZERO_SHIFT * lowest, z)
+
+
 def _dispersion_gap(looks):
     """ln L - digamma(L): strictly decreasing on [1, L_MAX], -> 0 as L -> inf."""
     return np.log(looks) - special.digamma(looks)
@@ -140,10 +146,12 @@ def _dispersion_gap(looks):
 def solve_looks(rhs) -> np.ndarray:
     """Solve ln L - digamma(L) = rhs for L, element-wise, on [1, L_MAX].
 
-    Bisection with a 200-iteration cap: the objective is strictly
-    decreasing, so the bracket always converges (final interval width
-    ~1e4 * 2^-200, far below any tolerance of interest).  rhs above the
-    L=1 value clamps to 1; rhs at or below the L_MAX value clamps to L_MAX.
+    rhs at or above the L=1 value clamps to 1, at or below the L_MAX value to
+    L_MAX.  The rest bisects [1, L_MAX] until a step would move no bound:
+    equal bounds give an equal step, so every later step would repeat it.  The
+    loop ends because mid = (lo + hi) / 2 rounds into [lo, hi], so lo only
+    rises and hi only falls; each step halves a bracket until its bounds are
+    adjacent doubles, ~66 halvings of [1, L_MAX].
     """
     rhs_arr = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
     out = np.empty_like(rhs_arr)
@@ -155,10 +163,12 @@ def solve_looks(rhs) -> np.ndarray:
     lo = np.full(int(todo.sum()), 1.0)
     hi = np.full(lo.shape, L_MAX)
     target = rhs_arr[todo]
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
         # objective decreasing: value above target means the root is right of mid
         go_right = _dispersion_gap(mid) > target
+        if np.all(mid == np.where(go_right, lo, hi)):
+            break  # no bound would move
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
     out[todo] = 0.5 * (lo + hi)
@@ -169,22 +179,19 @@ def mle(values) -> FitResult:
     """Fit (L, lambda) by maximum likelihood.
 
     lambda-hat is the closed-form sample mean; L-hat solves
-    ln L - digamma(L) = ln(mean) - mean(ln z).  Exact zeros are shifted to
-    (smallest positive value) * ZERO_SHIFT with a flag; a constant sample clamps
-    L-hat to L_MAX with the degeneracy flag.
+    ln L - digamma(L) = ln(mean) - mean(ln z).  Exact zeros go through
+    shift_zeros with a flag; a constant sample clamps L-hat to L_MAX with the
+    degeneracy flag.
     """
     z = np.asarray(values, dtype=np.float64).reshape(-1)
     if z.size < 2:
         raise DomainError("mle requires at least 2 values")
     if not np.all(np.isfinite(z)) or np.any(z < 0):
         raise DomainError("mle requires finite values >= 0")
-    zero_shifted = False
-    if np.any(z == 0):
-        positive = z[z > 0]
-        if positive.size == 0:
-            raise DomainError("mle requires at least one positive value")
-        z = np.where(z == 0, positive.min() * ZERO_SHIFT, z)
-        zero_shifted = True
+    if not np.any(z > 0):
+        raise DomainError("mle requires at least one positive value")
+    zero_shifted = bool(np.any(z == 0))
+    z = shift_zeros(z)
     mean = float(z.mean())
     rhs = math.log(mean) - float(np.log(z).mean())
     if rhs <= 0.0:

@@ -130,7 +130,7 @@ def fast_plan(master_seed: int = 0, **overrides) -> RunPlan:
     return RunPlan(master_seed=master_seed, **overrides)
 
 
-def _apply_filter(kind, window, corrupted, sit, level, plan, threads):
+def _apply_filter(kind, window, corrupted, sit, level, plan):
     if kind == "input":
         return corrupted
     if kind == "lee":
@@ -142,7 +142,7 @@ def _apply_filter(kind, window, corrupted, sit, level, plan, threads):
         dof=plan.dof,
         shared_looks=plan.shared_looks,
     )
-    return filter_image(corrupted, FilterSpec(window=window, test=cfg), threads=threads)
+    return filter_image(corrupted, FilterSpec(window=window, test=cfg))
 
 
 def _replicate_rows(plan, geom, phantoms, sid, rep):
@@ -155,7 +155,7 @@ def _replicate_rows(plan, geom, phantoms, sid, rep):
         cached = None
         for level in plan.levels:
             if level_dependent or cached is None:
-                filtered = _apply_filter(kind, window, corrupted, sit, level, plan, threads=1)
+                filtered = _apply_filter(kind, window, corrupted, sit, level, plan)
                 if not level_dependent:
                     cached = filtered
             else:

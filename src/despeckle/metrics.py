@@ -222,38 +222,24 @@ def compute_report(
     ENL falls back to the whole image and those three fields stay None.
     """
     _check_same_shape(reference, test)
-    values = {}
 
-    def attempt(name, fn):
+    def attempt(fn, width=None):
         try:
-            values[name] = fn()
+            return fn()
         except (DespeckleError, FloatingPointError):
-            values[name] = None
+            return None if width is None else (None,) * width
 
-    if geom is not None:
-        attempt("enl", lambda: enl(test.array[geom.background_slices()]))
-        attempt("line_contrast_error", lambda: line_contrast(test, geom, reference))
-
-        def edges():
-            return edge_measures(test, geom, reference)
-
-        attempt("edge_pair", edges)
-        pair = values.pop("edge_pair")
-        values["edge_gradient"] = None if pair is None else pair[0]
-        values["edge_variance"] = None if pair is None else pair[1]
+    line = gradient = variance = None
+    if geom is None:
+        enl_value = attempt(lambda: enl(test.array))
     else:
-        attempt("enl", lambda: enl(test.array))
-        values["line_contrast_error"] = None
-        values["edge_gradient"] = None
-        values["edge_variance"] = None
-
-    attempt("q_pair", lambda: q_index(reference, test))
-    pair = values.pop("q_pair")
-    values["q_mean"] = None if pair is None else pair[0]
-    values["q_std"] = None if pair is None else pair[1]
-    attempt("beta_rho", lambda: laplacian_correlation(reference, test))
-    attempt("err", lambda: error_metrics(reference, test))
-    err = values.pop("err")
-    for i, name in enumerate(("mae", "mse", "nmse", "dcon")):
-        values[name] = None if err is None else err[i]
-    return MetricReport(**values)
+        enl_value = attempt(lambda: enl(test.array[geom.background_slices()]))
+        line = attempt(lambda: line_contrast(test, geom, reference))
+        gradient, variance = attempt(lambda: edge_measures(test, geom, reference), 2)
+    q_mean, q_std = attempt(lambda: q_index(reference, test), 2)
+    beta_rho = attempt(lambda: laplacian_correlation(reference, test))
+    mae, mse, nmse, dcon = attempt(lambda: error_metrics(reference, test), 4)
+    return MetricReport(
+        enl=enl_value, line_contrast_error=line, edge_gradient=gradient, edge_variance=variance,
+        q_mean=q_mean, q_std=q_std, beta_rho=beta_rho, mae=mae, mse=mse, nmse=nmse, dcon=dcon,
+    )

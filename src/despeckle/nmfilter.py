@@ -12,10 +12,9 @@ centre pixel, so a one-pixel point fills 1 of its 7 cells against 1 of the
 central block's 9, the tests almost never reject, and the output is the
 window mean.
 
-Zero or no-data pixels: the tests see each zero as ZERO_SHIFT (1e-6) times
-the smallest positive value of its window (``mle``'s shift, once per window);
-the output still averages the raw cells, and a window with no positive value
-gives 0.
+Zero or no-data pixels: the tests see each window through ``mle``'s zero
+shift, ``gamma.shift_zeros``; the output still averages the raw cells, and a
+window with no positive value gives 0.
 
 The oriented regions follow the classical Nagao-Matsuyama layout: 7 offsets
 each in the 5x5 window (12 in the 7x7), including the centre pixel, so they
@@ -43,7 +42,7 @@ from .divergence import (
     sidak_level,
 )
 from .errors import InvalidArgumentError, OutOfBoundsError
-from .gamma import ZERO_SHIFT, solve_looks
+from .gamma import shift_zeros, solve_looks
 from .raster import Raster, pad_mirror
 
 REGION_NAMES = (
@@ -178,9 +177,9 @@ class FilterSpec:
 
 # Centres per engine call.  Each call stacks 8 regions per centre, so one
 # bisection in solve_looks covers ~4k elements.  On a 64x256 strip (2-vCPU
-# Xeon, 11 interleaved passes) one thread took 1.15 s median here against
-# 1.28 s at 1024 and 1.36 s at 4096; two threads took 0.72-0.76 s at any
-# size from 512 up.
+# Xeon, 21 interleaved passes) one thread took 0.66 s median at 512, 1024
+# and 2048 alike (0.73 s at 256); two threads took 0.44 s at 512 against
+# 0.37-0.38 s from 1024 up.  512 stays until a size also wins at one thread.
 BLOCK_PIXELS = 512
 
 
@@ -199,14 +198,6 @@ def _plan(spec: FilterSpec):
     return half, drs, dcs, central, gathers, indicators
 
 
-def _shift_zeros(win: np.ndarray) -> np.ndarray:
-    """The window cells as the tests see them: zeros shifted as the module
-    docstring says (a window without a positive cell scales by 1)."""
-    lowest = np.where(win > 0.0, win, np.inf).min(axis=1, keepdims=True)
-    lowest[np.isinf(lowest)] = 1.0
-    return np.where(win == 0.0, ZERO_SHIFT * lowest, win)
-
-
 def _filter_centers(padded: np.ndarray, rows, cols, spec: FilterSpec, plan) -> np.ndarray:
     """All eight region tests of every centre in one stacked pass."""
     half, drs, dcs, central, gathers, indicators = plan
@@ -214,7 +205,7 @@ def _filter_centers(padded: np.ndarray, rows, cols, spec: FilterSpec, plan) -> n
     eta = sidak_level(cfg.alpha, NUM_TESTS)
     win = padded[rows[:, None] + half + drs[None, :], cols[:, None] + half + dcs[None, :]]
 
-    w = _shift_zeros(win)
+    w = shift_zeros(win)  # the window cells as the tests see them
     logw = np.log(w)
     m1, ni = central.size, gathers.shape[1]
     sum1 = w[:, central].sum(axis=1)

@@ -17,6 +17,7 @@ Three on-disk formats are supported:
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -148,7 +149,8 @@ def _write_ascii(img: Raster, path) -> None:
 
 
 def _read_ascii(path) -> Raster:
-    with open(path) as fh:
+    # a byte that is not UTF-8 decodes to U+FFFD, which no number contains
+    with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise FormatError("ascii raster: first line must be 'height width'")
@@ -195,9 +197,10 @@ def _read_raw(path) -> Raster:
             raise FormatError(f"raw raster: unsupported version {version}")
         if width == 0 or height == 0:
             raise FormatError("raw raster: zero dimension")
-        payload = fh.read(8 * width * height)
-        if len(payload) != 8 * width * height:
+        # check the size first: the header may claim more than memory holds
+        if os.fstat(fh.fileno()).st_size < 16 + 8 * width * height:
             raise FormatError("raw raster: truncated pixel data")
+        payload = fh.read(8 * width * height)
         arr = np.frombuffer(payload, dtype="<f8").reshape(height, width)
     try:
         return Raster(arr)
@@ -241,6 +244,8 @@ def _read_pgm(path) -> Raster:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
         raise FormatError("pgm raster: non-integer header fields") from exc
+    if width <= 0 or height <= 0:
+        raise FormatError("pgm raster: dimensions must be positive")
     if maxval != 65535:
         raise FormatError("pgm raster: only maxval 65535 is supported")
     pos += 1  # single whitespace after maxval

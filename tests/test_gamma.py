@@ -16,7 +16,7 @@ from despeckle import (
     sample,
     unit_speckle,
 )
-from despeckle.gamma import solve_looks
+from despeckle.gamma import ZERO_SHIFT, shift_zeros, solve_looks
 
 
 def stream(*key):
@@ -159,3 +159,84 @@ def test_solve_looks_monotone_and_clamped():
     assert arr.shape == (2,)
     assert arr[0] == pytest.approx(2.0, rel=1e-9)
     assert arr[1] == pytest.approx(30.0, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the looks fit against its earlier definition, bit for bit
+
+
+def _bisect_200(rhs):
+    """solve_looks as first written: a fixed 200 bisection steps."""
+    gap = lambda L: np.log(L) - special.digamma(L)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    out = np.empty_like(rhs)
+    at_low, at_high = rhs >= gap(1.0), rhs <= gap(L_MAX)
+    out[at_low], out[at_high] = 1.0, L_MAX
+    todo = ~(at_low | at_high)
+    lo, hi, target = np.full(todo.sum(), 1.0), np.full(todo.sum(), L_MAX), rhs[todo]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        go_right = gap(mid) > target
+        lo, hi = np.where(go_right, mid, lo), np.where(go_right, hi, mid)
+    out[todo] = 0.5 * (lo + hi)
+    return out
+
+
+def _mle_min_shift(values):
+    """mle as first written: zeros become positive.min() * ZERO_SHIFT."""
+    z = np.asarray(values, dtype=np.float64)
+    zero_shifted = bool(np.any(z == 0))
+    if zero_shifted:
+        positive = z[z > 0]
+        if positive.size == 0:
+            raise DomainError("mle requires at least one positive value")
+        z = np.where(z == 0, positive.min() * ZERO_SHIFT, z)
+    mean = float(z.mean())
+    rhs = math.log(mean) - float(np.log(z).mean())
+    if rhs <= 0.0:
+        return GammaParams(L_MAX, mean), True, zero_shifted
+    return GammaParams(float(_bisect_200(np.array([rhs]))[0]), mean), False, zero_shifted
+
+
+def test_solve_looks_equals_the_200_step_bisection():
+    gap = lambda L: math.log(L) - special.digamma(L)
+    g1, gmax = gap(1.0), gap(L_MAX)
+    rng = np.random.default_rng(61)
+    roots = L_MAX ** rng.random(50_000)  # ln L uniform: roots over the whole range
+    inside = np.concatenate([rng.uniform(gmax, g1, 50_000), np.log(roots) - special.digamma(roots)])
+    inside = inside[(inside > gmax) & (inside < g1)]
+    assert inside.size > 99_000
+    edges = np.array([g1, np.nextafter(g1, 0), np.nextafter(g1, 1), g1 + 1.0,
+                      gmax, np.nextafter(gmax, 1), np.nextafter(gmax, 0), -1.0])
+    for rhs in (inside, edges):
+        assert solve_looks(rhs).tobytes() == _bisect_200(rhs).tobytes()
+    assert solve_looks(g1) == 1.0 and solve_looks(gmax) == L_MAX
+
+
+def test_mle_zero_shift_equals_the_min_shift():
+    rng = np.random.default_rng(62)
+    for _ in range(300):
+        z = rng.gamma(rng.uniform(1.0, 8.0), 50.0, int(rng.integers(2, 50)))
+        z[rng.random(z.size) < rng.uniform(0.05, 0.9)] = 0.0
+        if not np.any(z > 0):
+            z[0] = 3.0
+        if rng.random() < 0.1:
+            z[z > 0] = z.max()  # zeros beside a constant: the min is the max
+        fit = mle(z)
+        params, degenerate, zero_shifted = _mle_min_shift(z)
+        assert (fit.params.looks, fit.params.mean) == (params.looks, params.mean)
+        assert (fit.degenerate, fit.zero_shifted) == (degenerate, zero_shifted)
+    for zeros in ([0.0, 0.0], [0.0] * 9):
+        with pytest.raises(DomainError, match="at least one positive value"):
+            mle(zeros)
+        with pytest.raises(DomainError, match="at least one positive value"):
+            _mle_min_shift(zeros)
+
+
+def test_shift_zeros_works_row_by_row():
+    z = np.array([[0.0, 2.0, 5.0], [0.0, 0.0, 0.0], [4.0, 0.0, 1.0]])
+    shifted = shift_zeros(z)
+    assert shifted.tobytes() == np.array([
+        [2.0 * ZERO_SHIFT, 2.0, 5.0], [ZERO_SHIFT] * 3, [4.0, ZERO_SHIFT, 1.0],
+    ]).tobytes()
+    assert np.array_equal(shift_zeros(z[2]), shifted[2])

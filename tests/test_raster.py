@@ -1,11 +1,19 @@
+import contextlib
+import io
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from despeckle import (
     FormatError,
     InvalidArgumentError,
     OutOfBoundsError,
     Raster,
+    cli,
     extract,
     nm_masks,
     pad_mirror,
@@ -181,3 +189,63 @@ def test_unknown_format_rejected(tmp_path):
         write_raster(img, tmp_path / "x", "tiff")
     with pytest.raises(InvalidArgumentError):
         read_raster(tmp_path / "x", "tiff")
+
+
+# ---------------------------------------------------------------------------
+# malformed files: every reader returns a Raster or raises FormatError
+
+
+def _valid_file(fmt: str) -> bytes:
+    """A valid 6x7 raster file, written by write_raster."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/img"
+        write_raster(Raster(np.arange(42.0).reshape(6, 7) + 0.5), path, fmt)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+VALID_FILES = {fmt: _valid_file(fmt) for fmt in ("ascii", "raw", "pgm")}
+
+
+def _mutate(fmt, dims, edits) -> bytes:
+    """The valid file, its header claiming dims = (height, width) if given,
+    then each edit: set one byte, or truncate."""
+    blob = VALID_FILES[fmt]
+    if dims is not None:
+        height, width = dims
+        if fmt == "raw":
+            blob = blob[:4] + struct.pack("<II", width % 2**32, height % 2**32) + blob[12:]
+        elif fmt == "ascii":
+            blob = f"{height} {width}".encode() + blob[blob.index(b"\n"):]
+        else:
+            blob = f"P5\n{width} {height}\n65535".encode() + blob[blob.index(b"65535") + 5:]
+    for op, where, value in edits:
+        where %= len(blob) + 1
+        blob = blob[:where] + (bytes([value]) + blob[where + 1:] if op == "byte" else b"")
+    return blob
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fmt=st.sampled_from(sorted(VALID_FILES)),
+    dims=st.none() | st.tuples(st.integers(-2**33, 2**33), st.integers(-2**33, 2**33)),
+    edits=st.lists(st.tuples(st.sampled_from(["byte", "truncate"]), st.integers(0, 400),
+                             st.integers(0, 255)), max_size=3),
+)
+@example(fmt="ascii", dims=None, edits=[("byte", 6, 0xFF)])  # not UTF-8
+@example(fmt="raw", dims=(2**31, 2**31), edits=[])  # claims 2^65 bytes
+@example(fmt="pgm", dims=(-8, -8), edits=[])  # 2*w*h > 0 with negative sides
+def test_malformed_files_are_format_errors(tmp_path_factory, fmt, dims, edits):
+    path = tmp_path_factory.mktemp("fuzz") / f"img.{fmt}"
+    path.write_bytes(_mutate(fmt, dims, edits))
+    try:
+        read_raster(path, fmt)
+        malformed = False
+    except FormatError:
+        malformed = True
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["filter", "--in", str(path), "--format", fmt, "--out", f"{path}.out"])
+    assert "internal error" not in err.getvalue()
+    if malformed:
+        assert code == 1
