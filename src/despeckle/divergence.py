@@ -6,9 +6,15 @@ null hypothesis of equal parameters, which turns it into a p-value test.
 The family-wise significance over the series of NUM_TESTS tests, one per
 oriented Nagao-Matsuyama region, is controlled by the Sidak per-test level.
 
-Each formula is written once, in its ``*_stat_array`` form, which the filter
-engine calls on whole blocks.  The scalar ``hellinger_stat``, ``kl_stat``
-and ``renyi_stat`` validate their inputs and return that array form's value.
+Each formula is written once, in its ``*_stat_array`` form.  The scalar
+``hellinger_stat``, ``kl_stat`` and ``renyi_stat`` validate their inputs and
+return that array form's value.
+
+Every statistic grows with the shared looks L, so a test at critical value
+c = chi2_critical(eta, dof) accepts exactly when L < T, the looks at which
+the statistic reaches c.  The ``*_threshold_array`` forms give T; the filter
+engine decides its region tests from T alone, without the statistic or its
+p-value.
 """
 
 from __future__ import annotations
@@ -116,6 +122,16 @@ def chi2_survival(s: float, dof: int) -> float:
     return float(special.gammaincc(dof / 2.0, s / 2.0))
 
 
+def chi2_critical(eta: float, dof: int) -> float:
+    """The s with chi2_survival(s, dof) == eta: -2 ln eta at dof 2,
+    2 erfcinv(eta)^2 at dof 1."""
+    if dof < 1:
+        raise InvalidArgumentError("dof must be >= 1")
+    if not 0.0 < eta < 1.0:
+        raise InvalidArgumentError("eta must be in (0, 1)")
+    return float(2.0 * special.gammainccinv(dof / 2.0, eta))
+
+
 def run_test(sample1, sample_i, cfg: TestConfig) -> TestOutcome:
     """Fit both samples, compute the configured statistic, decide at the
     Sidak-corrected level."""
@@ -137,15 +153,47 @@ def run_test(sample1, sample_i, cfg: TestConfig) -> TestOutcome:
 
 
 # ---------------------------------------------------------------------------
-# the statistics, element-wise over arrays (no validation).  Equal means give
-# exactly 0; rounding below 0 clamps to 0.
+# the statistics and their looks thresholds, element-wise over arrays (no
+# validation).  Equal means give exactly 0; rounding below 0 clamps to 0.  A
+# statistic that is 0 for every L never reaches the critical value, so its
+# threshold is +inf.
+
+
+def _threshold(critical, per_look, tie):
+    """critical / per_look, or +inf where the statistic stays 0 at any L."""
+    with np.errstate(divide="ignore"):
+        return np.where(tie | (per_look <= 0.0), np.inf, critical / per_look)
+
+
+def _log_bc(mean1, mean_i):
+    """Log of the Bhattacharyya coefficient per look, <= 0 up to rounding."""
+    return np.log(2.0) + 0.5 * (np.log(mean1) + np.log(mean_i)) - np.log(mean1 + mean_i)
+
+
+def _renyi_log_arg(mean1, mean_i, beta):
+    return (
+        np.log(mean1)
+        + np.log(mean_i)
+        - np.log(beta * mean_i + (1.0 - beta) * mean1)
+        - np.log(beta * mean1 + (1.0 - beta) * mean_i)
+    )
 
 
 def hellinger_stat_array(mean1, mean_i, m, n, looks):
     """(8mn/(m+n)) * (1 - 2^L (l1 li)^(L/2) / (l1 + li)^L), log-domain."""
-    log_bc = np.log(2.0) + 0.5 * (np.log(mean1) + np.log(mean_i)) - np.log(mean1 + mean_i)
+    log_bc = _log_bc(mean1, mean_i)
     raw = (8.0 * m * n / (m + n)) * -np.expm1(looks * log_bc)
     return np.where(mean1 == mean_i, 0.0, np.maximum(raw, 0.0))
+
+
+def hellinger_threshold_array(mean1, mean_i, m, n, critical):
+    """T with hellinger_stat_array(..., L) < critical exactly when L < T:
+    L log_bc > log1p(-critical / (8mn/(m+n))).  A critical value at or above
+    8mn/(m+n), the statistic's supremum, is never reached."""
+    k = 8.0 * m * n / (m + n)
+    reach = -math.log1p(-critical / k) if critical < k else math.inf
+    log_bc = _log_bc(mean1, mean_i)
+    return _threshold(reach, -log_bc, mean1 == mean_i)
 
 
 def kl_stat_array(mean1, mean_i, m, n, looks):
@@ -157,13 +205,22 @@ def kl_stat_array(mean1, mean_i, m, n, looks):
     return np.where(mean1 == mean_i, 0.0, np.maximum(raw, 0.0))
 
 
+def kl_threshold_array(mean1, mean_i, m, n, critical):
+    """T with kl_stat_array(..., L) < critical exactly when L < T."""
+    per_look = (2.0 * m * n / (m + n)) * np.square(mean1 - mean_i) / (2.0 * mean1 * mean_i)
+    return _threshold(critical, per_look, mean1 == mean_i)
+
+
 def renyi_stat_array(mean1, mean_i, m, n, looks, beta):
     """Order-beta statistic; beta(beta-1) < 0 and log-argument <= 1 keep it >= 0."""
-    log_arg = (
-        np.log(mean1)
-        + np.log(mean_i)
-        - np.log(beta * mean_i + (1.0 - beta) * mean1)
-        - np.log(beta * mean1 + (1.0 - beta) * mean_i)
-    )
+    log_arg = _renyi_log_arg(mean1, mean_i, beta)
     raw = (2.0 * m * n / (m + n)) * (looks / (2.0 * beta * (beta - 1.0))) * log_arg
     return np.where(mean1 == mean_i, 0.0, np.maximum(raw, 0.0))
+
+
+def renyi_threshold_array(mean1, mean_i, m, n, critical, beta):
+    """T with renyi_stat_array(..., L, beta) < critical exactly when L < T."""
+    per_look = (2.0 * m * n / (m + n)) / (2.0 * beta * (beta - 1.0)) * _renyi_log_arg(
+        mean1, mean_i, beta
+    )
+    return _threshold(critical, per_look, mean1 == mean_i)

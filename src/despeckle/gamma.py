@@ -175,6 +175,19 @@ def solve_looks(rhs) -> np.ndarray:
     return out if np.ndim(rhs) else out[0]
 
 
+def looks_below(rhs, threshold) -> np.ndarray:
+    """solve_looks(rhs) < threshold, element-wise, without solving.
+
+    Every solution lies in [1, L_MAX], so a threshold above L_MAX always holds
+    and one at or below 1 never does.  In between, ln L - digamma(L) strictly
+    decreases, so the solution lies below the threshold exactly when rhs
+    exceeds the threshold's dispersion gap; the clamped rhs values obey the
+    same comparison.
+    """
+    gap = _dispersion_gap(np.clip(threshold, 1.0, L_MAX))
+    return (threshold > L_MAX) | ((threshold > 1.0) & (rhs > gap))
+
+
 def mle(values) -> FitResult:
     """Fit (L, lambda) by maximum likelihood.
 

@@ -39,7 +39,13 @@ def lee_filter(img: Raster, spec: LeeSpec) -> Raster:
             f"image {img.height}x{img.width} smaller than the {spec.window}x{spec.window} window"
         )
     half = spec.window // 2
-    padded = pad_mirror(img, half).array
+    # Work on the image scaled by a power of two that puts its maximum just
+    # below 2^500: squares of the window values cannot overflow, and the
+    # scaling is exact both ways, so in-range images give the same bytes.
+    _, exponent = np.frexp(img.array.max())
+    shift = 500 - int(exponent)
+    z = np.ldexp(img.array, shift)
+    padded = pad_mirror(Raster(z), half).array
     wins = sliding_window_view(padded, (spec.window, spec.window))
     wins = wins.reshape(img.height, img.width, -1)
     mean = wins.mean(axis=2)
@@ -48,7 +54,7 @@ def lee_filter(img: Raster, spec: LeeSpec) -> Raster:
     with np.errstate(divide="ignore", invalid="ignore"):
         cz2 = var / mean**2
         gain = np.clip(1.0 - noise_cv2 / cz2, 0.0, 1.0)
-    out = mean + gain * (img.array - mean)
+    out = mean + gain * (z - mean)
     # all-zero windows have no statistics to speak of; emit 0
     out = np.where(mean > 0, out, 0.0)
-    return Raster(out)
+    return Raster(np.ldexp(out, -shift))

@@ -31,18 +31,23 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
+# The engine calls neither solve_looks nor the *_stat_array statistics, but
+# perfbench traces them under these names in this module, so they stay bound.
 from .divergence import (
     NUM_TESTS,
     TestConfig,
+    chi2_critical,
     hellinger_stat_array,
+    hellinger_threshold_array,
     kl_stat_array,
+    kl_threshold_array,
     renyi_stat_array,
+    renyi_threshold_array,
     sidak_level,
 )
 from .errors import InvalidArgumentError, OutOfBoundsError
-from .gamma import shift_zeros, solve_looks
+from .gamma import looks_below, shift_zeros, solve_looks
 from .raster import Raster, pad_mirror
 
 REGION_NAMES = (
@@ -174,13 +179,17 @@ class FilterSpec:
 # One vectorised path serves both the scalar filter_pixel and filter_image,
 # which feeds it blocks of whole rows, so the two agree bit for bit.  Windows
 # holding zeros take the same path; only the values the tests see change.
+#
+# A region passes exactly when its fitted shared looks stay below the looks
+# threshold at which its statistic reaches the chi-square critical value
+# (divergence.*_threshold_array).  gamma.looks_below settles that from the
+# dispersion rhs with one digamma per (centre, region), so no test solves for
+# the looks or computes its statistic or p-value.
 
-# Centres per engine call.  Each call stacks 8 regions per centre, so one
-# bisection in solve_looks covers ~4k elements.  On a 64x256 strip (2-vCPU
-# Xeon, 21 interleaved passes) one thread took 0.66 s median at 512, 1024
-# and 2048 alike (0.73 s at 256); two threads took 0.44 s at 512 against
-# 0.37-0.38 s from 1024 up.  512 stays until a size also wins at one thread.
-BLOCK_PIXELS = 512
+# Centres per engine call.  On a 64x256 strip (2-vCPU Xeon, 61 interleaved
+# passes) one thread took 38 ms median at 512, 32 ms at 1024 and 2048 and
+# 46 ms at 4096; two threads took 40, 26, 23 and 29 ms.
+BLOCK_PIXELS = 2048
 
 
 def _plan(spec: FilterSpec):
@@ -198,14 +207,14 @@ def _plan(spec: FilterSpec):
     return half, drs, dcs, central, gathers, indicators
 
 
-def _filter_centers(padded: np.ndarray, rows, cols, spec: FilterSpec, plan) -> np.ndarray:
-    """All eight region tests of every centre in one stacked pass."""
-    half, drs, dcs, central, gathers, indicators = plan
-    cfg = spec.test
-    eta = sidak_level(cfg.alpha, NUM_TESTS)
-    win = padded[rows[:, None] + half + drs[None, :], cols[:, None] + half + dcs[None, :]]
+def _region_tests(w: np.ndarray, cfg: TestConfig, central, gathers):
+    """All eight region tests of every centre in one stacked pass.
 
-    w = shift_zeros(win)  # the window cells as the tests see them
+    w holds the (centres, cells) window values the tests see, zeros already
+    shifted.  Returns the central block's dispersion rhs, (centres,), and the
+    (centres, 9) acceptance of region 1 (always) and the oriented regions.
+    """
+    critical = chi2_critical(sidak_level(cfg.alpha, NUM_TESTS), cfg.dof)
     logw = np.log(w)
     m1, ni = central.size, gathers.shape[1]
     sum1 = w[:, central].sum(axis=1)
@@ -217,18 +226,26 @@ def _filter_centers(padded: np.ndarray, rows, cols, spec: FilterSpec, plan) -> n
     if cfg.shared_looks == "pooled":
         logsum_i = logw[:, gathers].sum(axis=2)
         pooled_mean = (sum1[:, None] + sum_i) / (m1 + ni)
-        shared = solve_looks(np.log(pooled_mean) - (logsum1[:, None] + logsum_i) / (m1 + ni))
+        rhs = np.log(pooled_mean) - (logsum1[:, None] + logsum_i) / (m1 + ni)
     else:
-        shared = solve_looks(rhs1)[:, None]
-    args = (mean1[:, None], sum_i / ni, m1, ni, shared)
+        rhs = rhs1[:, None]
+    args = (mean1[:, None], sum_i / ni, m1, ni, critical)
     if cfg.kind == "hellinger":
-        s = hellinger_stat_array(*args)
+        threshold = hellinger_threshold_array(*args)
     elif cfg.kind == "kl":
-        s = kl_stat_array(*args)
+        threshold = kl_threshold_array(*args)
     else:
-        s = renyi_stat_array(*args, cfg.renyi_order)
-    accepted = np.ones((w.shape[0], 9), dtype=bool)  # region 1 always counts
-    accepted[:, 1:] = special.gammaincc(cfg.dof / 2.0, s / 2.0) > eta
+        threshold = renyi_threshold_array(*args, cfg.renyi_order)
+    accepted = np.ones((w.shape[0], 9), dtype=bool)
+    accepted[:, 1:] = looks_below(rhs, threshold)
+    return rhs1, accepted
+
+
+def _filter_centers(padded: np.ndarray, rows, cols, spec: FilterSpec, plan) -> np.ndarray:
+    """Test the regions of every centre and average the cells they cover."""
+    half, drs, dcs, central, gathers, indicators = plan
+    win = padded[rows[:, None] + half + drs[None, :], cols[:, None] + half + dcs[None, :]]
+    rhs1, accepted = _region_tests(shift_zeros(win), spec.test, central, gathers)
 
     # the output averages the raw cells, zeros included
     covered = accepted @ indicators > 0

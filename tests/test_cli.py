@@ -1,10 +1,21 @@
 import dataclasses
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from despeckle import METRIC_HEADER, FilterSpec, LeeSpec, RunPlan, cli, fast_plan, read_raster
+from despeckle import (
+    METRIC_HEADER,
+    FilterSpec,
+    LeeSpec,
+    Raster,
+    RunPlan,
+    cli,
+    fast_plan,
+    read_raster,
+    write_raster,
+)
 from despeckle.harness import read_csv_rows
 
 
@@ -107,6 +118,20 @@ def test_filter_subcommand_variants(tmp_path, noisy_pair):
         img = read_raster(out, "raw")
         assert img.shape == (64, 64)
         assert np.all(np.isfinite(img.array)) and img.array.min() >= 0
+
+
+@pytest.mark.parametrize("peak", [1e308, 1.7e308])
+def test_lee_filter_takes_values_near_the_float_maximum(tmp_path, capsys, peak):
+    arr = np.ones((8, 8))
+    arr[3, 4] = peak
+    src, out = tmp_path / "big.raw", tmp_path / "out.raw"
+    write_raster(Raster(arr), src, "raw")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("filter", "--in", str(src), "--out", str(out), "--filter", "lee") == 0
+    assert capsys.readouterr().err == ""
+    filtered = read_raster(out, "raw").array
+    assert np.all(np.isfinite(filtered)) and filtered.max() <= peak
 
 
 def test_filter_threads_flag_keeps_output(tmp_path, noisy_pair):

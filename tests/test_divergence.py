@@ -19,9 +19,13 @@ from despeckle import (
 )
 from despeckle.divergence import (
     KINDS,
+    chi2_critical,
     hellinger_stat_array,
+    hellinger_threshold_array,
     kl_stat_array,
+    kl_threshold_array,
     renyi_stat_array,
+    renyi_threshold_array,
 )
 from despeckle.gamma import solve_looks
 
@@ -218,6 +222,79 @@ def test_chi2_survival_validation():
         chi2_survival(1.0, 0)
     with pytest.raises(InvalidArgumentError):
         chi2_survival(math.nan, 1)
+
+
+def test_chi2_critical_inverts_survival():
+    etas = np.concatenate([10.0 ** np.linspace(-12, -0.01, 200),
+                           [sidak_level(a, 8) for a in (0.01, 0.05, 0.1, 0.2, 0.5)]])
+    for dof in (1, 2):
+        for eta in etas:
+            c = chi2_critical(eta, dof)
+            assert chi2_survival(c, dof) == pytest.approx(eta, rel=1e-13, abs=0.0)
+    for eta in (1e-9, 0.0275, 0.5):
+        assert chi2_critical(eta, 2) == pytest.approx(-2.0 * math.log(eta), rel=1e-13)
+        assert chi2_critical(eta, 1) == pytest.approx(2.0 * special.erfcinv(eta) ** 2, rel=1e-13)
+
+
+def test_chi2_critical_validation():
+    for eta in (0.0, 1.0, -0.1, math.nan):
+        with pytest.raises(InvalidArgumentError):
+            chi2_critical(eta, 1)
+    with pytest.raises(InvalidArgumentError):
+        chi2_critical(0.1, 0)
+
+
+# --------------------------------------------------------- looks thresholds
+
+
+def _threshold_cases(rng, size):
+    """Means from equal to ~20x apart, looks over [1, 1e4], the two window sizes."""
+    m1 = np.exp(rng.uniform(-5.0, 8.0, size))
+    m2 = m1 * np.exp(rng.normal(0.0, 1.0, size) * 10.0 ** rng.uniform(-3.0, 0.0, size))
+    m2[: size // 50] = m1[: size // 50]  # ties
+    looks = np.exp(rng.uniform(0.0, math.log(1e4), size))
+    return m1, m2, looks
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_thresholds_decide_like_the_statistics(kind):
+    # the statistic at looks L passes its chi-square test exactly when L < T;
+    # at the ulp level the two may differ only where T is within 1e-9 of L
+    rng = stream(80, KINDS.index(kind))
+    m1, m2, looks = _threshold_cases(rng, 40_000)
+    both = set()
+    for (m, n), dof, alpha in [((9, 7), 1, 0.2), ((25, 12), 2, 0.2), ((9, 7), 2, 0.01),
+                               ((25, 12), 1, 0.5)]:
+        eta = sidak_level(alpha, 8)
+        c = chi2_critical(eta, dof)
+        if kind == "hellinger":
+            stat_at = lambda L: hellinger_stat_array(m1, m2, m, n, L)
+            t = hellinger_threshold_array(m1, m2, m, n, c)
+        elif kind == "kl":
+            stat_at = lambda L: kl_stat_array(m1, m2, m, n, L)
+            t = kl_threshold_array(m1, m2, m, n, c)
+        else:
+            stat_at = lambda L: renyi_stat_array(m1, m2, m, n, L, 0.3)
+            t = renyi_threshold_array(m1, m2, m, n, c, 0.3)
+        assert np.all(np.isposinf(t[m1 == m2]))
+        # the given looks, then looks placed close to each finite threshold
+        near = t * np.exp(rng.normal(0.0, 1.0, t.size) * 10.0 ** rng.uniform(-8.0, -2.0, t.size))
+        for at in (looks, np.where(np.isfinite(t), np.clip(near, 1.0, 1e4), looks)):
+            passes = special.gammaincc(dof / 2.0, stat_at(at) / 2.0) > eta
+            off = passes != (at < t)
+            assert np.all(np.abs(t[off] - at[off]) <= 1e-9 * at[off])
+            both.update(passes)
+    assert both == {False, True}
+
+
+def test_hellinger_threshold_beyond_the_supremum():
+    # 8mn/(m+n) bounds the Hellinger statistic, so a larger critical value
+    # is never reached, whatever the means
+    m1, m2 = np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 1e6])
+    sup = 8.0 * 9 * 7 / 16
+    assert np.all(np.isposinf(hellinger_threshold_array(m1, m2, 9, 7, sup)))
+    assert np.all(np.isposinf(hellinger_threshold_array(m1, m2, 9, 7, sup * 2.0)))
+    assert np.all(np.isfinite(hellinger_threshold_array(m1, m2, 9, 7, sup * 0.99)[1:]))
 
 
 # ------------------------------------------------------------------ run_test

@@ -16,7 +16,7 @@ from despeckle import (
     sample,
     unit_speckle,
 )
-from despeckle.gamma import ZERO_SHIFT, shift_zeros, solve_looks
+from despeckle.gamma import ZERO_SHIFT, looks_below, shift_zeros, solve_looks
 
 
 def stream(*key):
@@ -240,3 +240,32 @@ def test_shift_zeros_works_row_by_row():
         [2.0 * ZERO_SHIFT, 2.0, 5.0], [ZERO_SHIFT] * 3, [4.0, ZERO_SHIFT, 1.0],
     ]).tobytes()
     assert np.array_equal(shift_zeros(z[2]), shifted[2])
+
+
+def test_looks_below_equals_solving():
+    # looks_below decides solve_looks(rhs) < T without solving; the two may
+    # differ only where T lies within 1e-9 relative of the solved looks
+    gap = lambda L: np.log(L) - special.digamma(L)
+    g1, gmax = gap(1.0), gap(L_MAX)
+    rng = np.random.default_rng(63)
+    size = 60_000
+    roots = L_MAX ** rng.random(size)
+    rhs = np.concatenate([rng.uniform(gmax, g1, size), gap(roots)])
+    rhs = np.concatenate([rhs, [g1, np.nextafter(g1, 0), g1 + 1.0,
+                                gmax, np.nextafter(gmax, 1), gmax / 2.0, -1.0]])
+    solved = solve_looks(rhs)
+    # thresholds near the root, spread over the whole range, and at the clamps
+    near = solved * np.exp(rng.normal(0.0, 1.0, rhs.size) * 10.0 ** rng.uniform(-12, 0, rhs.size))
+    spread = np.exp(rng.uniform(-1.0, np.log(2.0 * L_MAX), rhs.size))
+    clamps = rng.choice([0.5, 1.0, np.nextafter(1.0, 2), L_MAX, np.nextafter(L_MAX, 0),
+                         np.nextafter(L_MAX, np.inf), np.inf], rhs.size)
+    for threshold in (near, spread, clamps):
+        got = looks_below(rhs, threshold)
+        want = solved < threshold
+        off = got != want
+        assert np.all(np.abs(threshold[off] - solved[off]) <= 1e-9 * solved[off])
+        assert got.any() and not got.all()
+    edge = np.array([g1, g1 + 1.0, gmax, -1.0])
+    for threshold in (1.0, np.nextafter(1.0, 2), L_MAX, np.nextafter(L_MAX, np.inf), np.inf):
+        assert np.array_equal(looks_below(edge, threshold), solve_looks(edge) < threshold)
+    assert looks_below(rhs[:3].reshape(3, 1), np.full((3, 4), 5.0)).shape == (3, 4)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import special
 
 from despeckle import (
     FilterSpec,
@@ -25,7 +26,13 @@ from despeckle import (
     unit_speckle,
 )
 from despeckle import nmfilter
-from despeckle.divergence import KINDS
+from despeckle.divergence import (
+    KINDS,
+    hellinger_stat_array,
+    kl_stat_array,
+    renyi_stat_array,
+    sidak_level,
+)
 from despeckle.gamma import solve_looks
 from despeckle.harness import SITUATIONS, corrupt, make_phantom, replicate_stream
 from despeckle.nmfilter import BLOCK_PIXELS
@@ -168,7 +175,8 @@ def test_filter_output_within_window_range():
 
 def test_filter_thread_count_does_not_change_output():
     rng = stream(103)
-    img = Raster(195.0 * unit_speckle(3.0, (24, 24), rng))
+    img = Raster(195.0 * unit_speckle(3.0, (24, 192), rng))
+    assert img.array.size > 2 * BLOCK_PIXELS  # three workers get a block each
     spec = FilterSpec(window=5)
     a = filter_image(img, spec, threads=1)
     b = filter_image(img, spec, threads=3)
@@ -190,23 +198,6 @@ def test_filter_row_blocks_agree_with_filter_pixel():
     for r in (0, rows_per_block - 1, rows_per_block, 2 * rows_per_block, last, img.height - 1):
         for c in (0, 64, img.width - 1):
             assert filter_pixel(padded, (r + 2, c + 2), spec) == out[r, c]
-
-
-@pytest.mark.parametrize("shared_looks", ["pooled", "sample1"])
-def test_engine_fits_looks_once_per_block(monkeypatch, shared_looks):
-    # all eight region tests of a block share one solve_looks call: the
-    # pooled (centres, 8) fit, or under sample1 the central-block fit
-    sizes = []
-
-    def counting(rhs):
-        sizes.append(np.shape(rhs))
-        return solve_looks(rhs)
-
-    monkeypatch.setattr(nmfilter, "solve_looks", counting)
-    img = Raster(150.0 * unit_speckle(3.0, (6, BLOCK_PIXELS), stream(107)))
-    filter_image(img, FilterSpec(window=5, test=TestConfig(shared_looks=shared_looks)))
-    per_block = (BLOCK_PIXELS, 8) if shared_looks == "pooled" else (BLOCK_PIXELS,)
-    assert sizes == [per_block] * 6
 
 
 def test_filter_determinism():
@@ -291,6 +282,74 @@ def test_filter_output_matches_frozen_digest(kind, window, variant):
     )
     out = filter_image(img, FilterSpec(window=window, test=cfg))
     assert hashlib.sha256(out.array.tobytes()).hexdigest() == FILTER_DIGESTS[kind, window, variant]
+
+
+@pytest.mark.parametrize("shared_looks", ["pooled", "sample1"])
+def test_filter_decides_without_solving_looks(monkeypatch, shared_looks):
+    # the engine decides every region test from its looks threshold: it never
+    # solves for the looks nor computes a statistic, and its bytes are those
+    # frozen from the engine that did both
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the filter engine must not call this")
+
+    for name in ("solve_looks", "hellinger_stat_array", "kl_stat_array", "renyi_stat_array"):
+        monkeypatch.setattr(nmfilter, name, forbidden)
+    variant = "sample1" if shared_looks == "sample1" else ""
+    cfg = TestConfig(shared_looks=shared_looks)
+    out = filter_image(situation_strip(), FilterSpec(window=5, test=cfg))
+    assert hashlib.sha256(out.array.tobytes()).hexdigest() == FILTER_DIGESTS["hellinger", 5, variant]
+
+
+def _solved_decisions(w, cfg, central, gathers):
+    """The region tests as first written: solve for the shared looks, compute
+    the statistic, and compare its chi-square p-value with the Sidak level."""
+    m1, ni = central.size, gathers.shape[1]
+    mean1 = w[:, central].mean(axis=1)
+    mean_i = w[:, gathers].sum(axis=2) / ni
+    rhs1 = np.log(mean1) - np.log(w[:, central]).sum(axis=1) / m1
+    if cfg.shared_looks == "pooled":
+        pooled = np.concatenate([np.repeat(w[:, None, central], 8, axis=1), w[:, gathers]], axis=2)
+        rhs = np.log(pooled.sum(axis=2) / (m1 + ni)) - np.log(pooled).sum(axis=2) / (m1 + ni)
+        shared = solve_looks(rhs)
+    else:
+        shared = solve_looks(rhs1)[:, None]
+    args = (mean1[:, None], mean_i, m1, ni, shared)
+    if cfg.kind == "hellinger":
+        stat = hellinger_stat_array(*args)
+    elif cfg.kind == "kl":
+        stat = kl_stat_array(*args)
+    else:
+        stat = renyi_stat_array(*args, cfg.renyi_order)
+    return special.gammaincc(cfg.dof / 2.0, stat / 2.0) > sidak_level(cfg.alpha, 8)
+
+
+def gamma_windows(rng, count, cells):
+    """Speckled windows whose cells are brightened up to 8x at random, each
+    window with its own share of bright cells, so tests both pass and fail."""
+    looks = rng.choice([1.0, 3.0, 8.0], (count, 1))
+    level = 100.0 * np.exp(rng.uniform(-3.0, 3.0, (count, 1)))
+    side = rng.random((count, cells)) < rng.uniform(0.0, 1.0, (count, 1))
+    contrast = np.exp(rng.uniform(0.0, np.log(8.0), (count, 1)))
+    return level * np.where(side, contrast, 1.0) * rng.gamma(looks, 1.0 / looks, (count, cells))
+
+
+@pytest.mark.parametrize("window", [5, 7])
+def test_region_decisions_equal_the_solved_tests(window):
+    # 3 kinds x 2 dof x 2 shared_looks x 2,200 windows x 8 regions: 211k
+    # (centre, region) decisions per window size
+    rng = stream(108, window)
+    spec = FilterSpec(window=window)
+    _, _, _, central, gathers, _ = nmfilter._plan(spec)
+    for kind in KINDS:
+        for dof in (1, 2):
+            for shared_looks in ("pooled", "sample1"):
+                cfg = TestConfig(kind=kind, dof=dof, shared_looks=shared_looks)
+                w = gamma_windows(rng, 2200, window * window)
+                _, accepted = nmfilter._region_tests(w, cfg, central, gathers)
+                want = _solved_decisions(w, cfg, central, gathers)
+                assert np.array_equal(accepted[:, 1:], want), (kind, dof, shared_looks)
+                assert accepted[:, 0].all()
+                assert want.any() and not want.all()
 
 
 def differing_share(a, b):
