@@ -6,15 +6,17 @@ null hypothesis of equal parameters, which turns it into a p-value test.
 The family-wise significance over the series of NUM_TESTS tests, one per
 oriented Nagao-Matsuyama region, is controlled by the Sidak per-test level.
 
-Each formula is written once, in its ``*_stat_array`` form.  The scalar
-``hellinger_stat``, ``kl_stat`` and ``renyi_stat`` validate their inputs and
-return that array form's value.
+Each test is defined by one per-look rate a of the two means, ``_rate``.  The
+KL and Renyi statistics are L a, and Hellinger's is (8mn/(m+n)) (1 - BC^L)
+with a = -ln BC.  ``statistic_array`` computes every statistic from a, and
+the scalar ``hellinger_stat``, ``kl_stat`` and ``renyi_stat`` validate their
+inputs and return its value.
 
 Every statistic grows with the shared looks L, so a test at critical value
 c = chi2_critical(eta, dof) accepts exactly when L < T, the looks at which
-the statistic reaches c.  The ``*_threshold_array`` forms give T; the filter
-engine decides its region tests from T alone, without the statistic or its
-p-value.
+the statistic reaches c.  ``looks_threshold`` gives T from the same rate; the
+filter engine decides its region tests from T alone, without the statistic
+or its p-value.
 """
 
 from __future__ import annotations
@@ -142,85 +144,72 @@ def run_test(sample1, sample_i, cfg: TestConfig) -> TestOutcome:
     else:
         shared = fit1.params.looks
     m, n = np.size(sample1), np.size(sample_i)
-    if cfg.kind == "hellinger":
-        stat = hellinger_stat(fit1.params, fit_i.params, m, n, shared)
-    elif cfg.kind == "kl":
-        stat = kl_stat(fit1.params, fit_i.params, m, n, shared)
-    else:
-        stat = renyi_stat(fit1.params, fit_i.params, m, n, shared, cfg.renyi_order)
+    means = fit1.params.mean, fit_i.params.mean
+    stat = float(statistic_array(cfg.kind, *means, m, n, shared, cfg.renyi_order))
     p = chi2_survival(stat, cfg.dof)
     return TestOutcome(stat, p, p <= sidak_level(cfg.alpha, NUM_TESTS))
 
 
 # ---------------------------------------------------------------------------
 # the statistics and their looks thresholds, element-wise over arrays (no
-# validation).  Equal means give exactly 0; rounding below 0 clamps to 0.  A
-# statistic that is 0 for every L never reaches the critical value, so its
-# threshold is +inf.
+# validation), both from one per-look rate a of the two means.  Equal means
+# give a statistic of exactly 0 at every L, rounding below 0 clamps to 0, and
+# a statistic that stays 0 never reaches the critical value: its threshold is
+# +inf.
 
 
-def _threshold(critical, per_look, tie):
-    """critical / per_look, or +inf where the statistic stays 0 at any L."""
-    with np.errstate(divide="ignore"):
-        return np.where(tie | (per_look <= 0.0), np.inf, critical / per_look)
-
-
-def _log_bc(mean1, mean_i):
-    """Log of the Bhattacharyya coefficient per look, <= 0 up to rounding."""
-    return np.log(2.0) + 0.5 * (np.log(mean1) + np.log(mean_i)) - np.log(mean1 + mean_i)
-
-
-def _renyi_log_arg(mean1, mean_i, beta):
-    return (
+def _rate(kind, mean1, mean_i, m, n, beta):
+    """The per-look rate a: KL and Renyi are L a, Hellinger is
+    (8mn/(m+n)) (1 - e^(-L a)) with a = -ln BC."""
+    if kind == "hellinger":
+        # minus the log of the Bhattacharyya coefficient, >= 0 up to rounding
+        return -(np.log(2.0) + 0.5 * (np.log(mean1) + np.log(mean_i)) - np.log(mean1 + mean_i))
+    if kind == "kl":
+        # (l1^2 + li^2)/(2 l1 li) - 1 as (l1 - li)^2 / (2 l1 li), which cannot
+        # go negative; np.square, unlike ** 2 on a scalar (C pow), rounds the
+        # same for scalars and arrays
+        return (2.0 * m * n / (m + n)) * np.square(mean1 - mean_i) / (2.0 * mean1 * mean_i)
+    # beta(beta-1) < 0 and a log-argument <= 0 keep the Renyi rate >= 0
+    log_arg = (
         np.log(mean1)
         + np.log(mean_i)
         - np.log(beta * mean_i + (1.0 - beta) * mean1)
         - np.log(beta * mean1 + (1.0 - beta) * mean_i)
     )
+    return (2.0 * m * n / (m + n)) / (2.0 * beta * (beta - 1.0)) * log_arg
+
+
+def statistic_array(kind, mean1, mean_i, m, n, looks, beta=0.5):
+    """The kind's statistic at the shared looks, from its per-look rate."""
+    rate = _rate(kind, mean1, mean_i, m, n, beta)
+    if kind == "hellinger":
+        raw = (8.0 * m * n / (m + n)) * -np.expm1(-looks * rate)
+    else:
+        raw = looks * rate
+    return np.where(mean1 == mean_i, 0.0, np.maximum(raw, 0.0))
 
 
 def hellinger_stat_array(mean1, mean_i, m, n, looks):
-    """(8mn/(m+n)) * (1 - 2^L (l1 li)^(L/2) / (l1 + li)^L), log-domain."""
-    log_bc = _log_bc(mean1, mean_i)
-    raw = (8.0 * m * n / (m + n)) * -np.expm1(looks * log_bc)
-    return np.where(mean1 == mean_i, 0.0, np.maximum(raw, 0.0))
-
-
-def hellinger_threshold_array(mean1, mean_i, m, n, critical):
-    """T with hellinger_stat_array(..., L) < critical exactly when L < T:
-    L log_bc > log1p(-critical / (8mn/(m+n))).  A critical value at or above
-    8mn/(m+n), the statistic's supremum, is never reached."""
-    k = 8.0 * m * n / (m + n)
-    reach = -math.log1p(-critical / k) if critical < k else math.inf
-    log_bc = _log_bc(mean1, mean_i)
-    return _threshold(reach, -log_bc, mean1 == mean_i)
+    return statistic_array("hellinger", mean1, mean_i, m, n, looks)
 
 
 def kl_stat_array(mean1, mean_i, m, n, looks):
-    """(2mn/(m+n)) * L * ((l1^2 + li^2)/(2 l1 li) - 1), evaluated as
-    L (l1 - li)^2 / (2 l1 li), the algebraically identical form that cannot
-    go negative.  np.square, unlike ** 2 on a scalar (C pow), rounds the same
-    for scalars and arrays."""
-    raw = (2.0 * m * n / (m + n)) * looks * np.square(mean1 - mean_i) / (2.0 * mean1 * mean_i)
-    return np.where(mean1 == mean_i, 0.0, np.maximum(raw, 0.0))
-
-
-def kl_threshold_array(mean1, mean_i, m, n, critical):
-    """T with kl_stat_array(..., L) < critical exactly when L < T."""
-    per_look = (2.0 * m * n / (m + n)) * np.square(mean1 - mean_i) / (2.0 * mean1 * mean_i)
-    return _threshold(critical, per_look, mean1 == mean_i)
+    return statistic_array("kl", mean1, mean_i, m, n, looks)
 
 
 def renyi_stat_array(mean1, mean_i, m, n, looks, beta):
-    """Order-beta statistic; beta(beta-1) < 0 and log-argument <= 1 keep it >= 0."""
-    log_arg = _renyi_log_arg(mean1, mean_i, beta)
-    raw = (2.0 * m * n / (m + n)) * (looks / (2.0 * beta * (beta - 1.0))) * log_arg
-    return np.where(mean1 == mean_i, 0.0, np.maximum(raw, 0.0))
+    return statistic_array("renyi", mean1, mean_i, m, n, looks, beta)
 
 
-def renyi_threshold_array(mean1, mean_i, m, n, critical, beta):
-    """T with renyi_stat_array(..., L, beta) < critical exactly when L < T."""
-    per_look = (2.0 * m * n / (m + n)) / (2.0 * beta * (beta - 1.0)) * _renyi_log_arg(
-        mean1, mean_i, beta
-    )
-    return _threshold(critical, per_look, mean1 == mean_i)
+def looks_threshold(cfg: TestConfig, mean1, mean_i, m, n):
+    """T with the cfg test passing exactly when the shared looks L < T: the
+    statistic reaches the critical value c at L = c / a, Hellinger's at
+    -ln(1 - c / (8mn/(m+n))) / a, and never where c >= 8mn/(m+n)."""
+    reach = chi2_critical(sidak_level(cfg.alpha, NUM_TESTS), cfg.dof)  # L a at c
+    if cfg.kind == "hellinger":
+        k = 8.0 * m * n / (m + n)
+        reach = -math.log1p(-reach / k) if reach < k else math.inf
+    # a KL rate beyond the float range is +inf, a statistic above c at every L
+    with np.errstate(divide="ignore", over="ignore"):
+        rate = _rate(cfg.kind, mean1, mean_i, m, n, cfg.renyi_order)
+        return np.where((mean1 == mean_i) | (rate <= 0.0), np.inf, reach / rate)

@@ -132,10 +132,13 @@ def unit_speckle(looks: float, shape: tuple, stream: np.random.Generator) -> np.
 def shift_zeros(z) -> np.ndarray:
     """z with each exact zero replaced by ZERO_SHIFT times the smallest
     positive value along the last axis, which keeps log z finite; a row
-    without a positive value scales by 1."""
+    without a positive value scales by 1.  z without a zero comes back as is."""
+    zero = z == 0.0
+    if not zero.any():
+        return z
     lowest = np.where(z > 0.0, z, np.inf).min(axis=-1, keepdims=True)
     lowest[np.isinf(lowest)] = 1.0
-    return np.where(z == 0.0, ZERO_SHIFT * lowest, z)
+    return np.where(zero, ZERO_SHIFT * lowest, z)
 
 
 def _dispersion_gap(looks):

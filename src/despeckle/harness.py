@@ -99,9 +99,9 @@ class RunPlan:
     levels: tuple = (0.2,)
     master_seed: int = 0
     size: int = 128
-    dof: int = 1
-    shared_looks: str = "pooled"
-    renyi_order: float = 0.5
+    dof: int = TestConfig.dof
+    shared_looks: str = TestConfig.shared_looks
+    renyi_order: float = TestConfig.renyi_order
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -121,6 +121,16 @@ class RunPlan:
         for sid in self.situations:
             if sid not in SITUATIONS:
                 raise InvalidArgumentError(f"unknown situation {sid}")
+        # a bad test setting fails here, not in a worker at the first filter
+        for kind, _ in self.filters:
+            if kind in TEST_KINDS:
+                for level in self.levels:
+                    self.test_config(kind, level)
+
+    def test_config(self, kind: str, level: float) -> TestConfig:
+        """The TestConfig of a region-test filter at one significance level."""
+        return TestConfig(kind=kind, renyi_order=self.renyi_order, alpha=level, dof=self.dof,
+                          shared_looks=self.shared_looks)
 
 
 def fast_plan(master_seed: int = 0, **overrides) -> RunPlan:
@@ -135,14 +145,7 @@ def _apply_filter(kind, window, corrupted, sit, level, plan):
         return corrupted
     if kind == "lee":
         return lee_filter(corrupted, LeeSpec(window=window, nominal_looks=sit.looks))
-    cfg = TestConfig(
-        kind=kind,
-        renyi_order=plan.renyi_order,
-        alpha=level,
-        dof=plan.dof,
-        shared_looks=plan.shared_looks,
-    )
-    return filter_image(corrupted, FilterSpec(window=window, test=cfg))
+    return filter_image(corrupted, FilterSpec(window=window, test=plan.test_config(kind, level)))
 
 
 def _replicate_rows(plan, geom, phantoms, sid, rep):

@@ -35,16 +35,11 @@ import numpy as np
 # The engine calls neither solve_looks nor the *_stat_array statistics, but
 # perfbench traces them under these names in this module, so they stay bound.
 from .divergence import (
-    NUM_TESTS,
     TestConfig,
-    chi2_critical,
     hellinger_stat_array,
-    hellinger_threshold_array,
     kl_stat_array,
-    kl_threshold_array,
+    looks_threshold,
     renyi_stat_array,
-    renyi_threshold_array,
-    sidak_level,
 )
 from .errors import InvalidArgumentError, OutOfBoundsError
 from .gamma import looks_below, shift_zeros, solve_looks
@@ -182,9 +177,13 @@ class FilterSpec:
 #
 # A region passes exactly when its fitted shared looks stay below the looks
 # threshold at which its statistic reaches the chi-square critical value
-# (divergence.*_threshold_array).  gamma.looks_below settles that from the
+# (divergence.looks_threshold).  gamma.looks_below settles that from the
 # dispersion rhs with one digamma per (centre, region), so no test solves for
 # the looks or computes its statistic or p-value.
+#
+# A window whose maximum lies outside [2^-500, 2^500] is filtered at the power
+# of two that brings that maximum just below 2^500, as in lee_filter, and its
+# output scaled back: exact both ways, and every other window keeps its bytes.
 
 # Centres per engine call.  On a 64x256 strip (2-vCPU Xeon, 61 interleaved
 # passes) one thread took 38 ms median at 512, 32 ms at 1024 and 2048 and
@@ -214,7 +213,6 @@ def _region_tests(w: np.ndarray, cfg: TestConfig, central, gathers):
     shifted.  Returns the central block's dispersion rhs, (centres,), and the
     (centres, 9) acceptance of region 1 (always) and the oriented regions.
     """
-    critical = chi2_critical(sidak_level(cfg.alpha, NUM_TESTS), cfg.dof)
     logw = np.log(w)
     m1, ni = central.size, gathers.shape[1]
     sum1 = w[:, central].sum(axis=1)
@@ -229,13 +227,7 @@ def _region_tests(w: np.ndarray, cfg: TestConfig, central, gathers):
         rhs = np.log(pooled_mean) - (logsum1[:, None] + logsum_i) / (m1 + ni)
     else:
         rhs = rhs1[:, None]
-    args = (mean1[:, None], sum_i / ni, m1, ni, critical)
-    if cfg.kind == "hellinger":
-        threshold = hellinger_threshold_array(*args)
-    elif cfg.kind == "kl":
-        threshold = kl_threshold_array(*args)
-    else:
-        threshold = renyi_threshold_array(*args, cfg.renyi_order)
+    threshold = looks_threshold(cfg, mean1[:, None], sum_i / ni, m1, ni)
     accepted = np.ones((w.shape[0], 9), dtype=bool)
     accepted[:, 1:] = looks_below(rhs, threshold)
     return rhs1, accepted
@@ -245,13 +237,20 @@ def _filter_centers(padded: np.ndarray, rows, cols, spec: FilterSpec, plan) -> n
     """Test the regions of every centre and average the cells they cover."""
     half, drs, dcs, central, gathers, indicators = plan
     win = padded[rows[:, None] + half + drs[None, :], cols[:, None] + half + dcs[None, :]]
+    shift = 0
+    if not 2.0**-500 <= win.min() <= win.max() <= 2.0**500:
+        top = win.max(axis=1)
+        outside = ((0.0 < top) & (top < 2.0**-500)) | (top > 2.0**500)
+        shift = np.where(outside, 500 - np.frexp(top)[1], 0)
+        win = np.ldexp(win, shift[:, None])
     rhs1, accepted = _region_tests(shift_zeros(win), spec.test, central, gathers)
 
     # the output averages the raw cells, zeros included
     covered = accepted @ indicators > 0
     pooled = (win * covered).sum(axis=1) / covered.sum(axis=1)
     # a constant central block short-circuits to its own mean, tests skipped
-    return np.where(rhs1 <= 0.0, win[:, central].mean(axis=1), pooled)
+    out = np.where(rhs1 <= 0.0, win[:, central].mean(axis=1), pooled)
+    return np.ldexp(out, -shift)
 
 
 def filter_pixel(padded: Raster, center: tuple, spec: FilterSpec) -> float:

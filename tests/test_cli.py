@@ -13,6 +13,7 @@ from despeckle import (
     RunPlan,
     cli,
     fast_plan,
+    harness,
     read_raster,
     write_raster,
 )
@@ -121,14 +122,15 @@ def test_filter_subcommand_variants(tmp_path, noisy_pair):
 
 
 @pytest.mark.parametrize("peak", [1e308, 1.7e308])
-def test_lee_filter_takes_values_near_the_float_maximum(tmp_path, capsys, peak):
+@pytest.mark.parametrize("kind", ["lee", "hellinger", "kl", "renyi"])
+def test_filter_takes_values_near_the_float_maximum(tmp_path, capsys, kind, peak):
     arr = np.ones((8, 8))
     arr[3, 4] = peak
     src, out = tmp_path / "big.raw", tmp_path / "out.raw"
     write_raster(Raster(arr), src, "raw")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert run("filter", "--in", str(src), "--out", str(out), "--filter", "lee") == 0
+        assert run("filter", "--in", str(src), "--out", str(out), "--filter", kind) == 0
     assert capsys.readouterr().err == ""
     filtered = read_raster(out, "raw").array
     assert np.all(np.isfinite(filtered)) and filtered.max() <= peak
@@ -203,7 +205,7 @@ def test_montecarlo_respects_levels_and_size(tmp_path):
     assert [r["level"] for r in rows] == ["0.1", "0.2"]
 
 
-def test_usage_errors_exit_2(tmp_path, noisy_pair):
+def test_usage_errors_exit_2(tmp_path, noisy_pair, monkeypatch):
     ph, noisy = noisy_pair
     with pytest.raises(SystemExit) as err:
         run("filter", "--in", str(noisy), "--out", str(tmp_path / "x.raw"), "--bogus")
@@ -220,6 +222,11 @@ def test_usage_errors_exit_2(tmp_path, noisy_pair):
     bad_situation = run("montecarlo", "--fast", "--situations", "7",
                         "--out", str(tmp_path / "x.csv"))
     assert bad_situation == 2
+    # a bad test setting is refused before any phantom is rendered
+    monkeypatch.setattr(harness, "render_phantom", None)
+    bad_beta = run("montecarlo", "--fast", "--filters", "renyi:5", "--beta", "1.5",
+                   "--out", str(tmp_path / "x.csv"))
+    assert bad_beta == 2
 
 
 def test_usage_error_prints_usage(tmp_path, capsys):

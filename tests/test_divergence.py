@@ -21,11 +21,10 @@ from despeckle.divergence import (
     KINDS,
     chi2_critical,
     hellinger_stat_array,
-    hellinger_threshold_array,
     kl_stat_array,
-    kl_threshold_array,
+    looks_threshold,
     renyi_stat_array,
-    renyi_threshold_array,
+    statistic_array,
 )
 from despeckle.gamma import solve_looks
 
@@ -256,6 +255,10 @@ def _threshold_cases(rng, size):
     return m1, m2, looks
 
 
+# (m, n), dof and overall alpha of each threshold case
+THRESHOLD_CASES = [((9, 7), 1, 0.2), ((25, 12), 2, 0.2), ((9, 7), 2, 0.01), ((25, 12), 1, 0.5)]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_thresholds_decide_like_the_statistics(kind):
     # the statistic at looks L passes its chi-square test exactly when L < T;
@@ -263,38 +266,48 @@ def test_thresholds_decide_like_the_statistics(kind):
     rng = stream(80, KINDS.index(kind))
     m1, m2, looks = _threshold_cases(rng, 40_000)
     both = set()
-    for (m, n), dof, alpha in [((9, 7), 1, 0.2), ((25, 12), 2, 0.2), ((9, 7), 2, 0.01),
-                               ((25, 12), 1, 0.5)]:
+    for (m, n), dof, alpha in THRESHOLD_CASES:
+        cfg = TestConfig(kind=kind, renyi_order=0.3, alpha=alpha, dof=dof)
         eta = sidak_level(alpha, 8)
-        c = chi2_critical(eta, dof)
-        if kind == "hellinger":
-            stat_at = lambda L: hellinger_stat_array(m1, m2, m, n, L)
-            t = hellinger_threshold_array(m1, m2, m, n, c)
-        elif kind == "kl":
-            stat_at = lambda L: kl_stat_array(m1, m2, m, n, L)
-            t = kl_threshold_array(m1, m2, m, n, c)
-        else:
-            stat_at = lambda L: renyi_stat_array(m1, m2, m, n, L, 0.3)
-            t = renyi_threshold_array(m1, m2, m, n, c, 0.3)
+        t = looks_threshold(cfg, m1, m2, m, n)
         assert np.all(np.isposinf(t[m1 == m2]))
         # the given looks, then looks placed close to each finite threshold
         near = t * np.exp(rng.normal(0.0, 1.0, t.size) * 10.0 ** rng.uniform(-8.0, -2.0, t.size))
         for at in (looks, np.where(np.isfinite(t), np.clip(near, 1.0, 1e4), looks)):
-            passes = special.gammaincc(dof / 2.0, stat_at(at) / 2.0) > eta
+            stat = statistic_array(kind, m1, m2, m, n, at, 0.3)
+            passes = special.gammaincc(dof / 2.0, stat / 2.0) > eta
             off = passes != (at < t)
             assert np.all(np.abs(t[off] - at[off]) <= 1e-9 * at[off])
             both.update(passes)
     assert both == {False, True}
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_statistic_at_the_threshold_is_the_critical_value(kind):
+    # T inverts the statistic: at L = T it equals the critical value, up to
+    # the rounding of the rate and of T
+    m1, m2, _ = _threshold_cases(stream(81, KINDS.index(kind)), 40_000)
+    for (m, n), dof, alpha in THRESHOLD_CASES:
+        cfg = TestConfig(kind=kind, renyi_order=0.3, alpha=alpha, dof=dof)
+        c = chi2_critical(sidak_level(alpha, 8), dof)
+        t = looks_threshold(cfg, m1, m2, m, n)
+        finite = np.isfinite(t)
+        assert finite.sum() > 0.9 * t.size
+        stat = statistic_array(kind, m1[finite], m2[finite], m, n, t[finite], 0.3)
+        np.testing.assert_allclose(stat, c, rtol=1e-12, atol=0.0)
+
+
 def test_hellinger_threshold_beyond_the_supremum():
-    # 8mn/(m+n) bounds the Hellinger statistic, so a larger critical value
-    # is never reached, whatever the means
+    # 8mn/(m+n) = 31.5 at (9, 7) bounds the Hellinger statistic, so a larger
+    # critical value is never reached, whatever the means
     m1, m2 = np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 1e6])
     sup = 8.0 * 9 * 7 / 16
-    assert np.all(np.isposinf(hellinger_threshold_array(m1, m2, 9, 7, sup)))
-    assert np.all(np.isposinf(hellinger_threshold_array(m1, m2, 9, 7, sup * 2.0)))
-    assert np.all(np.isfinite(hellinger_threshold_array(m1, m2, 9, 7, sup * 0.99)[1:]))
+    for alpha, reached in ((1e-8, False), (1e-12, False), (1e-6, True)):
+        cfg = TestConfig(kind="hellinger", alpha=alpha)
+        assert (chi2_critical(sidak_level(alpha, 8), 1) < sup) == reached
+        t = looks_threshold(cfg, m1, m2, 9, 7)
+        assert np.isposinf(t[0])
+        assert np.all(np.isfinite(t[1:]) if reached else np.isposinf(t[1:]))
 
 
 # ------------------------------------------------------------------ run_test

@@ -364,15 +364,40 @@ def test_filter_is_rotation_and_scale_equivariant(kind, window):
     # scaling by 2^k scales every sum exactly; only the summation order and
     # the rounding of the logs change, which may flip a test decision at a
     # tie.  Bound: at most 0.1 % of the pixels differ by more than 1e-9
-    # relative.
+    # relative.  At k = +-600 every window lies beyond [2^-500, 2^500] and
+    # is filtered at a power of two of its own, with no over- or underflow.
     img = situation_strip()
     spec = FilterSpec(window=window, test=TestConfig(kind=kind))
     out = filter_image(img, spec).array
     rotated = filter_image(Raster(np.rot90(img.array)), spec).array
     assert differing_share(rotated, np.rot90(out)) <= 1e-3
-    for k in (-3, 5):
+    for k in (-600, -3, 5, 600):
         scaled = filter_image(Raster(2.0**k * img.array), spec).array
         assert differing_share(scaled, 2.0**k * out) <= 1e-3
+
+
+@pytest.mark.parametrize("window", [5, 7])
+@pytest.mark.parametrize("kind", KINDS)
+def test_filter_takes_windows_spanning_the_float_range(kind, window):
+    # A peak near the float maximum over a dim speckled floor: ~2^1030
+    # between the values of one window.  Only the windows holding the peak
+    # are scaled, a KL rate past the float range rejects its region, and the
+    # other windows keep the bytes of the floor filtered alone.
+    floor = 0.25 * unit_speckle(3.0, (14, 14), stream(110))
+    arr = floor.copy()
+    arr[6, 7] = 1.7e308
+    img = Raster(arr)
+    spec = FilterSpec(window=window, test=TestConfig(kind=kind))
+    out = filter_image(img, spec).array
+    half = window // 2
+    wins = sliding_window_view(pad_mirror(img, half).array, (window, window))
+    wins = wins.reshape(14, 14, -1)
+    assert np.all((wins.min(axis=2) <= out) & (out <= wins.max(axis=2)))
+    far = wins.max(axis=2) < 1.0
+    assert far.sum() > 100
+    assert np.array_equal(out[far], filter_image(Raster(floor), spec).array[far])
+    padded = pad_mirror(img, half)
+    assert filter_pixel(padded, (6 + half, 7 + half), spec) == out[6, 7]
 
 
 @settings(max_examples=60, deadline=None)

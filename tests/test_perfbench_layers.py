@@ -2,16 +2,50 @@
 refactor that drops or renames one of those names must fail here, not
 only in the slow benchmark smoke test."""
 
+import ast
 import importlib
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
-def test_every_traced_target_resolves(monkeypatch):
+@pytest.fixture()
+def targets(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    layers = importlib.import_module("layers")
-    targets = layers.targets()
+    return importlib.import_module("layers").targets()
+
+
+def test_every_traced_target_resolves(targets):
     assert targets
     for module, attr, name, _ in targets:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_no_module_imports_a_name_it_never_reads(targets):
+    # __init__ imports to re-export, and the traced names stay bound where
+    # perfbench rebinds them, whether or not the module itself reads them
+    traced = {(module.__name__, attr) for module, attr, _, _ in targets}
+    unused = []
+    for path in sorted((ROOT / "src" / "despeckle").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        module = f"despeckle.{path.stem}"
+        unused += [f"{module}.{name}" for name in _imported_names(tree)
+                   if name not in read and (module, name) not in traced]
+    assert unused == []

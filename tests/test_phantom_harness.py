@@ -275,6 +275,14 @@ def test_run_plan_validation():
         RunPlan(levels=())
     with pytest.raises(InvalidArgumentError):
         RunPlan(situations=(9,))
+    # the test filters' settings fail at the plan, not at the first filter
+    with pytest.raises(InvalidArgumentError, match="dof"):
+        RunPlan(dof=3)
+    with pytest.raises(InvalidArgumentError, match="shared_looks"):
+        RunPlan(shared_looks="sample2")
+    with pytest.raises(InvalidArgumentError, match="renyi_order"):
+        RunPlan(filters=(("renyi", 5),), renyi_order=1.5)
+    RunPlan(filters=(("hellinger", 5),), renyi_order=1.5)  # the order only matters to renyi
 
 
 # ----------------------------------------------------------------- protocol
