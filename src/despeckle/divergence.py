@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, InvalidArgumentError
-from .gamma import GammaParams, mle
+from .gamma import GammaParams, into_range, mle
 
 KINDS = ("hellinger", "kl", "renyi")
 
@@ -136,14 +136,14 @@ def chi2_critical(eta: float, dof: int) -> float:
 
 def run_test(sample1, sample_i, cfg: TestConfig) -> TestOutcome:
     """Fit both samples, compute the configured statistic, decide at the
-    Sidak-corrected level."""
-    fit1 = mle(sample1)
-    fit_i = mle(sample_i)
-    if cfg.shared_looks == "pooled":
-        shared = mle(np.concatenate([np.ravel(sample1), np.ravel(sample_i)])).params.looks
-    else:
-        shared = fit1.params.looks
+    Sidak-corrected level.  Both samples are first scaled by one common
+    power of two, gamma.into_range on the two together, so samples of any
+    magnitude test alike and the statistic sees only the ratio of the means."""
     m, n = np.size(sample1), np.size(sample_i)
+    pooled, _ = into_range(np.concatenate([np.ravel(sample1), np.ravel(sample_i)]).astype(float))
+    fit1 = mle(pooled[:m])
+    fit_i = mle(pooled[m:])
+    shared = (mle(pooled) if cfg.shared_looks == "pooled" else fit1).params.looks
     means = fit1.params.mean, fit_i.params.mean
     stat = float(statistic_array(cfg.kind, *means, m, n, shared, cfg.renyi_order))
     p = chi2_survival(stat, cfg.dof)

@@ -129,16 +129,31 @@ def unit_speckle(looks: float, shape: tuple, stream: np.random.Generator) -> np.
 # maximum likelihood
 
 
+def into_range(z):
+    """(z scaled, shift): each row along the last axis whose maximum lies outside
+    [2^-500, 2^500] is scaled exactly by the power of two 2^shift that puts that
+    maximum just below 2^500, so its sums and squares stay normal and finite, and
+    np.ldexp(x, -shift) scales a per-row result back.  Other rows, those with no
+    positive or an infinite maximum too, keep shift 0; z in range comes back as is."""
+    if 2.0**-500 <= z.min(initial=np.inf) and z.max(initial=0.0) <= 2.0**500:
+        return z, 0
+    top = z.max(axis=-1)
+    outside = (0.0 < top) & (top < np.inf) & ((top < 2.0**-500) | (2.0**500 < top))
+    shift = np.where(outside, 500 - np.frexp(top)[1], 0)
+    return np.ldexp(z, shift[..., None]), shift
+
+
 def shift_zeros(z) -> np.ndarray:
     """z with each exact zero replaced by ZERO_SHIFT times the smallest
-    positive value along the last axis, which keeps log z finite; a row
-    without a positive value scales by 1.  z without a zero comes back as is."""
+    positive value along the last axis, floored at the smallest subnormal,
+    which keeps log z finite; a row without a positive value scales by 1.
+    z without a zero comes back as is."""
     zero = z == 0.0
     if not zero.any():
         return z
     lowest = np.where(z > 0.0, z, np.inf).min(axis=-1, keepdims=True)
     lowest[np.isinf(lowest)] = 1.0
-    return np.where(zero, ZERO_SHIFT * lowest, z)
+    return np.where(zero, np.maximum(ZERO_SHIFT * lowest, np.nextafter(0.0, 1.0)), z)
 
 
 def _dispersion_gap(looks):
@@ -195,9 +210,10 @@ def mle(values) -> FitResult:
     """Fit (L, lambda) by maximum likelihood.
 
     lambda-hat is the closed-form sample mean; L-hat solves
-    ln L - digamma(L) = ln(mean) - mean(ln z).  Exact zeros go through
-    shift_zeros with a flag; a constant sample clamps L-hat to L_MAX with the
-    degeneracy flag.
+    ln L - digamma(L) = ln(mean) - mean(ln z).  The fit runs on the sample
+    brought into range by into_range, so values of any magnitude fit, and the
+    mean is scaled back.  Exact zeros go through shift_zeros with a flag; a
+    constant sample clamps L-hat to L_MAX with the degeneracy flag.
     """
     z = np.asarray(values, dtype=np.float64).reshape(-1)
     if z.size < 2:
@@ -207,11 +223,13 @@ def mle(values) -> FitResult:
     if not np.any(z > 0):
         raise DomainError("mle requires at least one positive value")
     zero_shifted = bool(np.any(z == 0))
+    z, shift = into_range(z)
     z = shift_zeros(z)
     mean = float(z.mean())
     rhs = math.log(mean) - float(np.log(z).mean())
+    lam = float(np.ldexp(mean, -shift))
     if rhs <= 0.0:
         # zero log-dispersion (constant sample, up to rounding)
-        return FitResult(GammaParams(L_MAX, mean), degenerate=True, zero_shifted=zero_shifted)
+        return FitResult(GammaParams(L_MAX, lam), degenerate=True, zero_shifted=zero_shifted)
     looks = float(solve_looks(rhs))
-    return FitResult(GammaParams(looks, mean), zero_shifted=zero_shifted)
+    return FitResult(GammaParams(looks, lam), zero_shifted=zero_shifted)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divergence import TestConfig
+from .divergence import KINDS, TestConfig
 from .errors import DomainError, InvalidArgumentError
 from .gamma import unit_speckle
 from .lee import LeeSpec, lee_filter
@@ -45,8 +45,7 @@ SITUATIONS = {
     4: Situation(4, 7.0, 170.0, 35.0),
 }
 
-TEST_KINDS = ("hellinger", "kl", "renyi")
-FILTER_KINDS = ("input", "lee") + TEST_KINDS
+FILTER_KINDS = ("input", "lee") + KINDS
 
 CSV_COLUMNS = (
     "filter",
@@ -123,7 +122,7 @@ class RunPlan:
                 raise InvalidArgumentError(f"unknown situation {sid}")
         # a bad test setting fails here, not in a worker at the first filter
         for kind, _ in self.filters:
-            if kind in TEST_KINDS:
+            if kind in KINDS:
                 for level in self.levels:
                     self.test_config(kind, level)
 
@@ -154,7 +153,7 @@ def _replicate_rows(plan, geom, phantoms, sid, rep):
     corrupted = corrupt(phantom, sit, replicate_stream(plan.master_seed, sid, rep))
     rows = []
     for kind, window in plan.filters:
-        level_dependent = kind in TEST_KINDS
+        level_dependent = kind in KINDS
         cached = None
         for level in plan.levels:
             if level_dependent or cached is None:

@@ -7,7 +7,9 @@ Multiplicative-noise MMSE form with clamped gain:
 where the window statistics give Cz^2 = var/mean^2 and the nominal number
 of looks sets the noise variation Cu^2 = 1/L.  Flat windows (Cz <= Cu)
 collapse to the window mean, strong-feature windows (Cz >> Cu) keep the
-centre pixel.
+centre pixel.  Each window is worked at the power of two gamma.into_range
+gives it, the range rule that nmfilter, mle, run_test and enl share, so
+squares of values near 1e308 cannot overflow and the output scales back exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError
+from .gamma import into_range
 from .raster import Raster, pad_mirror
 
 
@@ -38,23 +41,16 @@ def lee_filter(img: Raster, spec: LeeSpec) -> Raster:
         raise InvalidArgumentError(
             f"image {img.height}x{img.width} smaller than the {spec.window}x{spec.window} window"
         )
-    half = spec.window // 2
-    # Work on the image scaled by a power of two that puts its maximum just
-    # below 2^500: squares of the window values cannot overflow, and the
-    # scaling is exact both ways, so in-range images give the same bytes.
-    _, exponent = np.frexp(img.array.max())
-    shift = 500 - int(exponent)
-    z = np.ldexp(img.array, shift)
-    padded = pad_mirror(Raster(z), half).array
+    padded = pad_mirror(img, spec.window // 2).array
     wins = sliding_window_view(padded, (spec.window, spec.window))
-    wins = wins.reshape(img.height, img.width, -1)
+    wins, shift = into_range(wins.reshape(img.height, img.width, -1))
     mean = wins.mean(axis=2)
     var = wins.var(axis=2, ddof=1)
     noise_cv2 = 1.0 / spec.nominal_looks
     with np.errstate(divide="ignore", invalid="ignore"):
         cz2 = var / mean**2
         gain = np.clip(1.0 - noise_cv2 / cz2, 0.0, 1.0)
-    out = mean + gain * (z - mean)
+    out = mean + gain * (wins[..., spec.window**2 // 2] - mean)
     # all-zero windows have no statistics to speak of; emit 0
     out = np.where(mean > 0, out, 0.0)
     return Raster(np.ldexp(out, -shift))

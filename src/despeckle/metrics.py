@@ -20,6 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateRegionError, DespeckleError, DomainError, InvalidArgumentError
+from .gamma import into_range
 from .phantom import PhantomGeometry
 from .raster import Raster
 
@@ -28,10 +29,13 @@ DCON_OFFSET = 23.0 / 255.0
 
 
 def enl(values) -> float:
-    """Equivalent number of looks (mean/std)^2 with the unbiased variance."""
+    """Equivalent number of looks (mean/std)^2 with the unbiased variance,
+    computed on the sample brought into range by gamma.into_range, so
+    intensities of any magnitude give the same value."""
     z = np.asarray(values, dtype=np.float64).reshape(-1)
     if z.size < 2:
         raise InvalidArgumentError("ENL needs at least 2 pixels")
+    z, _ = into_range(z)
     sd = z.std(ddof=1)
     if sd == 0:
         raise DegenerateRegionError("ENL of a constant region")

@@ -31,6 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # The engine calls neither solve_looks nor the *_stat_array statistics, but
 # perfbench traces them under these names in this module, so they stay bound.
@@ -42,7 +43,7 @@ from .divergence import (
     renyi_stat_array,
 )
 from .errors import InvalidArgumentError, OutOfBoundsError
-from .gamma import looks_below, shift_zeros, solve_looks
+from .gamma import into_range, looks_below, shift_zeros, solve_looks
 from .raster import Raster, pad_mirror
 
 REGION_NAMES = (
@@ -180,10 +181,6 @@ class FilterSpec:
 # (divergence.looks_threshold).  gamma.looks_below settles that from the
 # dispersion rhs with one digamma per (centre, region), so no test solves for
 # the looks or computes its statistic or p-value.
-#
-# A window whose maximum lies outside [2^-500, 2^500] is filtered at the power
-# of two that brings that maximum just below 2^500, as in lee_filter, and its
-# output scaled back: exact both ways, and every other window keeps its bytes.
 
 # Centres per engine call.  On a 64x256 strip (2-vCPU Xeon, 61 interleaved
 # passes) one thread took 38 ms median at 512, 32 ms at 1024 and 2048 and
@@ -192,7 +189,7 @@ BLOCK_PIXELS = 2048
 
 
 def _plan(spec: FilterSpec):
-    """Offsets, the central gather, the (8, n) oriented gathers, the 9 x cells indicator."""
+    """The central gather, the (8, n) oriented gathers, the 9 x cells indicator."""
     half = spec.window // 2
     cells = [(r, c) for r in range(-half, half + 1) for c in range(-half, half + 1)]
     index = {off: i for i, off in enumerate(cells)}
@@ -201,9 +198,7 @@ def _plan(spec: FilterSpec):
     indicators = np.zeros((9, len(cells)))
     for i, g in enumerate([central, *gathers]):
         indicators[i, g] = 1.0
-    drs = np.array([r for r, _ in cells])
-    dcs = np.array([c for _, c in cells])
-    return half, drs, dcs, central, gathers, indicators
+    return central, gathers, indicators
 
 
 def _region_tests(w: np.ndarray, cfg: TestConfig, central, gathers):
@@ -235,14 +230,9 @@ def _region_tests(w: np.ndarray, cfg: TestConfig, central, gathers):
 
 def _filter_centers(padded: np.ndarray, rows, cols, spec: FilterSpec, plan) -> np.ndarray:
     """Test the regions of every centre and average the cells they cover."""
-    half, drs, dcs, central, gathers, indicators = plan
-    win = padded[rows[:, None] + half + drs[None, :], cols[:, None] + half + dcs[None, :]]
-    shift = 0
-    if not 2.0**-500 <= win.min() <= win.max() <= 2.0**500:
-        top = win.max(axis=1)
-        outside = ((0.0 < top) & (top < 2.0**-500)) | (top > 2.0**500)
-        shift = np.where(outside, 500 - np.frexp(top)[1], 0)
-        win = np.ldexp(win, shift[:, None])
+    central, gathers, indicators = plan
+    win = sliding_window_view(padded, (spec.window, spec.window))[rows, cols]
+    win, shift = into_range(win.reshape(rows.size, -1))
     rhs1, accepted = _region_tests(shift_zeros(win), spec.test, central, gathers)
 
     # the output averages the raw cells, zeros included
@@ -280,8 +270,7 @@ def filter_image(img: Raster, spec: FilterSpec, threads: int = 1) -> Raster:
         raise InvalidArgumentError(
             f"image {img.height}x{img.width} smaller than the {spec.window}x{spec.window} window"
         )
-    half = spec.window // 2
-    padded = pad_mirror(img, half).array
+    padded = pad_mirror(img, spec.window // 2).array
     plan = _plan(spec)
     width = img.width
     out = np.empty(img.height * width, dtype=np.float64)

@@ -372,6 +372,35 @@ def test_run_test_decision_matches_level():
         assert out.statistic >= 0.0
 
 
+@pytest.mark.parametrize("shared_looks", ["pooled", "sample1"])
+def test_run_test_takes_any_magnitude(shared_looks):
+    # 2^1000 puts the pooled sum past the float maximum and 2^-1000 the
+    # product of the two means below the smallest float; both samples are
+    # tested at one common power of two, so only the ratio of their means
+    # counts and every decision stays that of the unscaled pair
+    rng = stream(74)
+    decisions = set()
+    for ratio in (1.0, 1.3, 1.8, 4.0):
+        z1 = sample(GammaParams(3.0, 1e6), 9, rng)
+        z2 = sample(GammaParams(3.0, ratio * 1e6), 7, rng)
+        for kind in KINDS:
+            cfg = TestConfig(kind=kind, shared_looks=shared_looks)
+            want = run_test(z1, z2, cfg)
+            for k in (-1000, 1000):
+                got = run_test(2.0**k * z1, 2.0**k * z2, cfg)
+                assert got.rejected == want.rejected, (ratio, kind, k)
+                assert got.statistic == pytest.approx(want.statistic, rel=1e-9, abs=1e-12)
+            decisions.add(want.rejected)
+    assert decisions == {False, True}
+
+
+def test_run_test_rejects_bad_samples():
+    # the common scaling leaves a bad sample to mle's checks, warning-free
+    for z1, z2 in (([1e300, np.inf], [1.0, 2.0]), ([1.0, np.nan], [1.0, 2.0]), ([], [])):
+        with pytest.raises(DomainError):
+            run_test(z1, z2, TestConfig())
+
+
 def test_run_test_shared_looks_strategies_differ_only_in_looks():
     rng = stream(73)
     z1 = sample(GammaParams(3.0, 195.0), 30, rng)

@@ -138,6 +138,19 @@ def test_mle_zero_shift_flag():
     assert not clean.zero_shifted
 
 
+def test_mle_takes_any_magnitude():
+    # At 2^1000 the sample sum lies past the float maximum, at 2^-1000 the
+    # values sit near the bottom of the normal range; the fit runs at a power
+    # of two inside it, gives the same looks and scales the mean exactly.
+    z = sample(GammaParams(3.0, 1e6), 49, stream(8))
+    fit = mle(z)
+    for k in (-1000, 1000):
+        scaled = mle(2.0**k * z)
+        assert scaled.params.looks == pytest.approx(fit.params.looks, rel=1e-9)
+        assert scaled.params.mean == 2.0**k * fit.params.mean
+        assert not scaled.degenerate
+
+
 def test_mle_rejects_bad_samples():
     with pytest.raises(DomainError):
         mle([3.0])

@@ -78,6 +78,20 @@ def test_output_stays_within_window_range():
     assert np.all(out.array <= wins.max(axis=2) + 1e-12)
 
 
+def test_windows_of_mixed_magnitude_stay_in_range():
+    # A dim half at 1e-300 beside a bright half at 1e300: each window is
+    # filtered at a power of two of its own, so no half flushes to 0 and
+    # every output lies within its window's range.
+    arr = 120.0 * unit_speckle(1.0, (18, 18), stream(205))
+    arr[:, :9] *= 1e-300
+    arr[:, 9:] *= 1e300
+    out = lee_filter(Raster(arr), LeeSpec(window=5, nominal_looks=1.0)).array
+    padded = pad_mirror(Raster(arr), 2).array
+    wins = sliding_window_view(padded, (5, 5)).reshape(18, 18, -1)
+    assert np.all(out >= wins.min(axis=2) * (1.0 - 1e-12))
+    assert np.all(out <= wins.max(axis=2) * (1.0 + 1e-12))
+
+
 def test_smooths_homogeneous_speckle():
     for s in range(10):
         rng = stream(7, s)
@@ -98,14 +112,15 @@ def test_preserves_mean_roughly():
 def test_rotation_and_scale_equivariance(window):
     # Rotation changes only the summation order and 2^k scales every window
     # statistic exactly.  Bound: at most 0.1 % of the pixels differ by more
-    # than 1e-9 relative.
+    # than 1e-9 relative.  At k = +-600 every window lies beyond
+    # [2^-500, 2^500] and is filtered at a power of two of its own.
     geom = default_geometry(64)
     for sit in SITUATIONS.values():
         img = corrupt(make_phantom(geom, sit), sit, replicate_stream(7, sit.id, 0))
         spec = LeeSpec(window=window, nominal_looks=sit.looks)
         out = lee_filter(img, spec).array
         pairs = [(lee_filter(Raster(np.rot90(img.array)), spec).array, np.rot90(out))]
-        for k in (-3, 5):
+        for k in (-600, -3, 5, 600):
             pairs.append((lee_filter(Raster(2.0**k * img.array), spec).array, 2.0**k * out))
         for got, want in pairs:
             assert np.mean(np.abs(got - want) > 1e-9 * np.abs(want)) <= 1e-3

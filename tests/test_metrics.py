@@ -41,9 +41,11 @@ def test_enl_small_case():
 
 
 def test_enl_scale_invariant():
+    # factors whose squares leave the float range, 2^+-660 and 1e+-200, too
     rng = stream(301)
     z = rng.gamma(4.0, size=500)
-    assert enl(z * 1000.0) == pytest.approx(enl(z), rel=1e-12)
+    for factor in (1000.0, 2.0**-660, 2.0**660, 1e-200, 1e200):
+        assert enl(z * factor) == pytest.approx(enl(z), rel=1e-12)
 
 
 def test_enl_estimates_looks():
