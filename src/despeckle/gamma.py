@@ -129,17 +129,27 @@ def unit_speckle(looks: float, shape: tuple, stream: np.random.Generator) -> np.
 # maximum likelihood
 
 
-def into_range(z):
-    """(z scaled, shift): each row along the last axis whose maximum lies outside
-    [2^-500, 2^500] is scaled exactly by the power of two 2^shift that puts that
-    maximum just below 2^500, so its sums and squares stay normal and finite, and
+def range_shift(lowest, highest, row_max):
+    """The range rule: 0 when the values, whose smallest is lowest and largest
+    highest, all lie in [2^-500, 2^500].  Otherwise row_max() gives the maximum
+    of each row (a window, a sample), and each row whose maximum lies outside
+    the range gets the shift of the power of two 2^shift that puts that maximum
+    just below 2^500, so its sums and squares stay normal and finite and
     np.ldexp(x, -shift) scales a per-row result back.  Other rows, those with no
-    positive or an infinite maximum too, keep shift 0; z in range comes back as is."""
-    if 2.0**-500 <= z.min(initial=np.inf) and z.max(initial=0.0) <= 2.0**500:
-        return z, 0
-    top = z.max(axis=-1)
+    positive or an infinite maximum too, get shift 0."""
+    if 2.0**-500 <= lowest and highest <= 2.0**500:
+        return 0
+    top = row_max()
     outside = (0.0 < top) & (top < np.inf) & ((top < 2.0**-500) | (2.0**500 < top))
-    shift = np.where(outside, 500 - np.frexp(top)[1], 0)
+    return np.where(outside, 500 - np.frexp(top)[1], 0)
+
+
+def into_range(z):
+    """(z scaled, shift): the range rule applied to each row along the last
+    axis of z; z that needs no scaling comes back as is."""
+    shift = range_shift(z.min(initial=np.inf), z.max(initial=0.0), lambda: z.max(axis=-1))
+    if not np.any(shift):
+        return z, shift
     return np.ldexp(z, shift[..., None]), shift
 
 

@@ -7,9 +7,12 @@ Multiplicative-noise MMSE form with clamped gain:
 where the window statistics give Cz^2 = var/mean^2 and the nominal number
 of looks sets the noise variation Cu^2 = 1/L.  Flat windows (Cz <= Cu)
 collapse to the window mean, strong-feature windows (Cz >> Cu) keep the
-centre pixel.  Each window is worked at the power of two gamma.into_range
-gives it, the range rule that nmfilter, mle, run_test and enl share, so
+centre pixel.  Each window is worked at the power of two gamma.range_shift
+gives it, the range rule that nmfilter, Q, mle, run_test and enl share, so
 squares of values near 1e308 cannot overflow and the output scales back exactly.
+The window mean and variance come from windows.window_moments, which adds one
+shifted view of the padded image per window cell in np.sum's order: no window
+is copied, and the bytes are those of np.mean and np.var(ddof=1) on the copy.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError
-from .gamma import into_range
+from .gamma import range_shift
 from .raster import Raster, pad_mirror
+from .windows import window_max, window_moments
 
 
 @dataclass(frozen=True)
@@ -42,15 +45,13 @@ def lee_filter(img: Raster, spec: LeeSpec) -> Raster:
             f"image {img.height}x{img.width} smaller than the {spec.window}x{spec.window} window"
         )
     padded = pad_mirror(img, spec.window // 2).array
-    wins = sliding_window_view(padded, (spec.window, spec.window))
-    wins, shift = into_range(wins.reshape(img.height, img.width, -1))
-    mean = wins.mean(axis=2)
-    var = wins.var(axis=2, ddof=1)
+    shift = range_shift(padded.min(), padded.max(), lambda: window_max(padded, spec.window))
+    (mean,), (var,) = window_moments([padded], spec.window, shift)
     noise_cv2 = 1.0 / spec.nominal_looks
     with np.errstate(divide="ignore", invalid="ignore"):
         cz2 = var / mean**2
         gain = np.clip(1.0 - noise_cv2 / cz2, 0.0, 1.0)
-    out = mean + gain * (wins[..., spec.window**2 // 2] - mean)
+    out = mean + gain * (np.ldexp(img.array, shift) - mean)
     # all-zero windows have no statistics to speak of; emit 0
     out = np.where(mean > 0, out, 0.0)
     return Raster(np.ldexp(out, -shift))

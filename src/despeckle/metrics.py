@@ -17,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateRegionError, DespeckleError, DomainError, InvalidArgumentError
-from .gamma import into_range
+from .gamma import into_range, range_shift
 from .phantom import PhantomGeometry
 from .raster import Raster
+from .windows import window_max, window_moments
 
 Q_WINDOW = 8
 DCON_OFFSET = 23.0 / 255.0
@@ -85,14 +85,12 @@ def edge_measures(img: Raster, geom: PhantomGeometry, reference: Raster) -> tupl
 
 
 def _q_window_values(x: np.ndarray, y: np.ndarray):
-    wx = sliding_window_view(x, (Q_WINDOW, Q_WINDOW)).reshape(-1, Q_WINDOW * Q_WINDOW)
-    wy = sliding_window_view(y, (Q_WINDOW, Q_WINDOW)).reshape(-1, Q_WINDOW * Q_WINDOW)
-    n = wx.shape[1]
-    mx = wx.mean(axis=1)
-    my = wy.mean(axis=1)
-    vx = wx.var(axis=1, ddof=1)
-    vy = wy.var(axis=1, ddof=1)
-    cov = ((wx - mx[:, None]) * (wy - my[:, None])).sum(axis=1) / (n - 1)
+    shift = range_shift(
+        min(x.min(), y.min()),
+        max(x.max(), y.max()),
+        lambda: np.maximum(window_max(x, Q_WINDOW), window_max(y, Q_WINDOW)),
+    )
+    (mx, my), (vx, vy, cov) = window_moments([x, y], Q_WINDOW, shift)
     usable = (vx > 0) & (vy > 0) & (mx**2 + my**2 > 0)
     sx = np.sqrt(vx[usable])
     sy = np.sqrt(vy[usable])
@@ -111,6 +109,12 @@ def q_index(x: Raster, y: Raster, with_counts: bool = False):
     in [-1, 1] with 1 for a perfect match.  Windows where any factor's
     denominator vanishes (e.g. the reference is locally constant) are
     skipped and counted; with_counts=True appends (used, skipped).
+
+    Q is scale-free, so each window pair is worked at the one power of two
+    that gamma.range_shift takes from the pair's maximum: intensities of any
+    magnitude give a value, and in-range pairs are not scaled.  The window
+    moments come from windows.window_moments, one shifted view per cell
+    summed in np.sum's order, with the bytes of the copied windows.
     """
     _check_same_shape(x, y)
     if x.height < Q_WINDOW or x.width < Q_WINDOW:

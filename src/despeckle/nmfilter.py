@@ -43,8 +43,9 @@ from .divergence import (
     renyi_stat_array,
 )
 from .errors import InvalidArgumentError, OutOfBoundsError
-from .gamma import into_range, looks_below, shift_zeros, solve_looks
+from .gamma import looks_below, range_shift, shift_zeros, solve_looks
 from .raster import Raster, pad_mirror
+from .windows import sum_rows
 
 REGION_NAMES = (
     "center",
@@ -172,9 +173,17 @@ class FilterSpec:
 # ---------------------------------------------------------------------------
 # engine
 #
-# One vectorised path serves both the scalar filter_pixel and filter_image,
-# which feeds it blocks of whole rows, so the two agree bit for bit.  Windows
-# holding zeros take the same path; only the values the tests see change.
+# One block function serves both filter_pixel, whose window is a one-pixel
+# block, and filter_image, which feeds it blocks of whole rows, so the two
+# agree bit for bit.  Windows holding zeros take the same path; only the
+# values the tests see change.
+#
+# The engine works cells-major: a block's windows are copied as a (cells,
+# centres) array, one row per window cell, into arrays each worker reuses
+# across its blocks, and the regions are gathered as rows with np.take.  Each
+# region sum adds its rows left to right and the pooled output sums all cells
+# with windows.RowSum (np.sum's order over a row): the orders in which the
+# output's frozen digests were made.
 #
 # A region passes exactly when its fitted shared looks stay below the looks
 # threshold at which its statistic reaches the chi-square critical value
@@ -182,64 +191,109 @@ class FilterSpec:
 # dispersion rhs with one digamma per (centre, region), so no test solves for
 # the looks or computes its statistic or p-value.
 
-# Centres per engine call.  On a 64x256 strip (2-vCPU Xeon, 61 interleaved
-# passes) one thread took 38 ms median at 512, 32 ms at 1024 and 2048 and
-# 46 ms at 4096; two threads took 40, 26, 23 and 29 ms.
+# Centres per engine call.  On a 64x256 strip (2-vCPU Xeon, two runs of 81
+# interleaved filter_image calls after perfbench's warm-up commands) one
+# thread took 22.8/22.1, 20.4/19.5 and 20.6/19.5 ms median at 1024, 2048 and
+# 4096; two threads took 24.3/23.3, 17.8/16.6 and 16.5/14.8 ms.  Every call
+# took 3 (one thread) or 6 (two) minor page faults.  4096 makes a 64x64
+# image one block, which leaves a second thread nothing to do.
 BLOCK_PIXELS = 2048
 
 
 def _plan(spec: FilterSpec):
-    """The central gather, the (8, n) oriented gathers, the 9 x cells indicator."""
+    """The central gather, the (8, n) oriented gathers, the cells x 9 indicator."""
     half = spec.window // 2
     cells = [(r, c) for r in range(-half, half + 1) for c in range(-half, half + 1)]
     index = {off: i for i, off in enumerate(cells)}
     gathers = np.array([[index[off] for off in m.offsets] for m in spec.masks[1:]])
     central = np.array([index[off] for off in spec.masks[0].offsets])
-    indicators = np.zeros((9, len(cells)))
+    indicators = np.zeros((len(cells), 9))
     for i, g in enumerate([central, *gathers]):
-        indicators[i, g] = 1.0
+        indicators[g, i] = 1.0
     return central, gathers, indicators
 
 
-def _region_tests(w: np.ndarray, cfg: TestConfig, central, gathers):
+class _Buffers:
+    """One worker's arrays, reused across its blocks.  A block of c centres
+    views the first rows * c values of a part as (rows, c): "win" holds the
+    windows, "log" the logs the tests see and then the covered cells, and
+    "gather" each gather of rows in turn.  The parts share one allocation:
+    once freed it raises glibc's dynamic mmap threshold above its size, so
+    later calls take it from the heap instead of faulting in fresh pages."""
+
+    def __init__(self, plan, centres: int):
+        _, gathers, indicators = plan
+        rows = {"win": len(indicators), "log": len(indicators), "gather": gathers.size}
+        flat = np.empty(sum(rows.values()) * centres)
+        ends = np.cumsum(list(rows.values()))[:-1] * centres
+        self._parts = dict(zip(rows, np.split(flat, ends)))
+
+    def get(self, name: str, *shape) -> np.ndarray:
+        return self._parts[name][:np.prod(shape)].reshape(shape)
+
+
+def _gather(a: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a's rows at index, written to out; the indices are valid by construction,
+    and a mode other than 'raise' copies without an intermediate buffer."""
+    return np.take(a, index, axis=0, out=out, mode="clip")
+
+
+def _region_tests(z, logz, cfg: TestConfig, central, gathers, buffers: _Buffers):
     """All eight region tests of every centre in one stacked pass.
 
-    w holds the (centres, cells) window values the tests see, zeros already
-    shifted.  Returns the central block's dispersion rhs, (centres,), and the
-    (centres, 9) acceptance of region 1 (always) and the oriented regions.
+    z holds the (cells, centres) window values the tests see, zeros already
+    shifted, and logz their logs.  Returns the central block's dispersion
+    rhs, (centres,), and the (9, centres) acceptance of region 1 (always) and
+    the oriented regions.  Every region sum runs over its cells left to right.
     """
-    logw = np.log(w)
     m1, ni = central.size, gathers.shape[1]
-    sum1 = w[:, central].sum(axis=1)
-    logsum1 = logw[:, central].sum(axis=1)
+    count = z.shape[1]
+    at_central = buffers.get("gather", m1, count)
+    at_regions = buffers.get("gather", 8, ni, count)
+    sum1 = _gather(z, central, at_central).sum(axis=0)
+    logsum1 = _gather(logz, central, at_central).sum(axis=0)
     mean1 = sum1 / m1
     rhs1 = np.log(mean1) - logsum1 / m1
-    # (centres, 8): one column per oriented region
-    sum_i = w[:, gathers].sum(axis=2)
+    # (8, centres): one row per oriented region
+    sum_i = _gather(z, gathers, at_regions).sum(axis=1)
     if cfg.shared_looks == "pooled":
-        logsum_i = logw[:, gathers].sum(axis=2)
-        pooled_mean = (sum1[:, None] + sum_i) / (m1 + ni)
-        rhs = np.log(pooled_mean) - (logsum1[:, None] + logsum_i) / (m1 + ni)
+        logsum_i = _gather(logz, gathers, at_regions).sum(axis=1)
+        pooled_mean = (sum1 + sum_i) / (m1 + ni)
+        rhs = np.log(pooled_mean) - (logsum1 + logsum_i) / (m1 + ni)
     else:
-        rhs = rhs1[:, None]
-    threshold = looks_threshold(cfg, mean1[:, None], sum_i / ni, m1, ni)
-    accepted = np.ones((w.shape[0], 9), dtype=bool)
-    accepted[:, 1:] = looks_below(rhs, threshold)
+        rhs = rhs1
+    threshold = looks_threshold(cfg, mean1, sum_i / ni, m1, ni)
+    accepted = np.ones((9, count), dtype=bool)
+    accepted[1:] = looks_below(rhs, threshold)
     return rhs1, accepted
 
 
-def _filter_centers(padded: np.ndarray, rows, cols, spec: FilterSpec, plan) -> np.ndarray:
-    """Test the regions of every centre and average the cells they cover."""
+def _filter_block(padded: np.ndarray, first: int, last: int, spec: FilterSpec, plan,
+                  buffers: _Buffers) -> np.ndarray:
+    """Filter the image rows first .. last - 1 of a padded image: test the
+    regions of every centre and average the cells they cover, row-major."""
     central, gathers, indicators = plan
-    win = sliding_window_view(padded, (spec.window, spec.window))[rows, cols]
-    win, shift = into_range(win.reshape(rows.size, -1))
-    rhs1, accepted = _region_tests(shift_zeros(win), spec.test, central, gathers)
+    size = spec.window
+    cells, width = indicators.shape[0], padded.shape[1] - size + 1
+    count = (last - first) * width
+    win = buffers.get("win", size, size, last - first, width)
+    windows = sliding_window_view(padded[first:last + size - 1], (size, size))
+    np.copyto(win, windows.transpose(2, 3, 0, 1))
+    win = win.reshape(cells, count)
+    shift = range_shift(win.min(), win.max(), lambda: win.max(axis=0))
+    if np.any(shift):
+        np.ldexp(win, shift, out=win)
+    z = shift_zeros(win.T).T
+    logz = np.log(z, out=buffers.get("log", cells, count))
+    rhs1, accepted = _region_tests(z, logz, spec.test, central, gathers, buffers)
 
     # the output averages the raw cells, zeros included
-    covered = accepted @ indicators > 0
-    pooled = (win * covered).sum(axis=1) / covered.sum(axis=1)
+    covered = np.matmul(indicators, accepted, out=logz) > 0
+    product = np.multiply(win, covered, out=logz)
+    pooled = sum_rows(product, buffers.get("gather", 8, count)) / covered.sum(axis=0)
     # a constant central block short-circuits to its own mean, tests skipped
-    out = np.where(rhs1 <= 0.0, win[:, central].mean(axis=1), pooled)
+    central_mean = _gather(win, central, buffers.get("gather", central.size, count)).sum(axis=0)
+    out = np.where(rhs1 <= 0.0, central_mean / central.size, pooled)
     return np.ldexp(out, -shift)
 
 
@@ -252,19 +306,18 @@ def filter_pixel(padded: Raster, center: tuple, spec: FilterSpec) -> float:
     ):
         raise OutOfBoundsError(f"center {center} closer than {half} px to the border")
     plan = _plan(spec)
-    # the engine indexes relative to the original image origin
-    value = _filter_centers(
-        padded.array, np.array([row - half]), np.array([col - half]), spec, plan
-    )
-    return float(value[0])
+    # the pixel's window is a padded one-pixel image
+    window = padded.array[row - half:row + half + 1, col - half:col + half + 1]
+    return float(_filter_block(window, 0, 1, spec, plan, _Buffers(plan, 1))[0])
 
 
 def filter_image(img: Raster, spec: FilterSpec, threads: int = 1) -> Raster:
     """Filter every pixel once; mirror padding keeps the output size equal.
 
     The engine runs on blocks of whole rows, about BLOCK_PIXELS centres
-    each.  Blocks are independent, so `threads` workers simply share them
-    out; the result is identical for any thread count.
+    each.  Blocks are independent: each of `threads` workers takes every
+    threads-th block into arrays it reuses, so the result is identical for
+    any thread count.
     """
     if img.width < spec.window or img.height < spec.window:
         raise InvalidArgumentError(
@@ -272,15 +325,19 @@ def filter_image(img: Raster, spec: FilterSpec, threads: int = 1) -> Raster:
         )
     padded = pad_mirror(img, spec.window // 2).array
     plan = _plan(spec)
-    width = img.width
-    out = np.empty(img.height * width, dtype=np.float64)
-    step = max(1, BLOCK_PIXELS // width) * width
+    rows = max(1, BLOCK_PIXELS // img.width)
+    firsts = range(0, img.height, rows)
+    workers = max(1, min(threads, len(firsts)))
+    out = np.empty((img.height, img.width))
 
-    def do_block(start):
-        centers = np.arange(start, min(start + step, out.size))
-        rows, cols = np.divmod(centers, width)
-        out[centers] = _filter_centers(padded, rows, cols, spec, plan)
+    def work(worker):
+        buffers = _Buffers(plan, rows * img.width)
+        for first in firsts[worker::workers]:
+            last = min(first + rows, img.height)
+            out[first:last] = _filter_block(padded, first, last, spec, plan, buffers).reshape(
+                last - first, img.width
+            )
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        list(pool.map(do_block, range(0, out.size, step)))
-    return Raster(out.reshape(img.height, width))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(work, range(workers)))
+    return Raster(out)

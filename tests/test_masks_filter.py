@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -201,6 +202,49 @@ def test_filter_row_blocks_agree_with_filter_pixel():
             assert filter_pixel(padded, (r + 2, c + 2), spec) == out[r, c]
 
 
+@pytest.mark.parametrize("window", [5, 7])
+def test_alternating_calls_equal_fresh_calls(window):
+    # every worker reuses its arrays across its blocks; calls that alternate
+    # between images of other widths, kinds and thread counts must each give
+    # what a call on its own gives
+    rng = stream(107, window)
+    wide = 150.0 * unit_speckle(3.0, (40, 128), rng)
+    wide[::7, ::5] = 0.0
+    narrow = 90.0 * unit_speckle(1.0, (53, 41), rng)
+    narrow[:, 20:] *= 2.0**700
+    images = [Raster(wide), Raster(narrow)]
+    specs = [FilterSpec(window=window, test=TestConfig(kind=kind)) for kind in KINDS]
+    fresh = {(i, kind): filter_image(img, spec).array
+             for i, img in enumerate(images) for kind, spec in zip(KINDS, specs)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch workers often
+    try:
+        for threads in (1, 2, 3):
+            for kind, spec in zip(KINDS, specs):
+                for i, img in enumerate(images):
+                    got = filter_image(img, spec, threads=threads).array
+                    assert np.array_equal(got, fresh[i, kind]), (threads, kind, i)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_filter_pixel_runs_the_block_function(monkeypatch):
+    calls = []
+    block = nmfilter._filter_block
+
+    def spy(padded, first, last, *args):
+        calls.append((padded.shape, first, last))
+        return block(padded, first, last, *args)
+
+    monkeypatch.setattr(nmfilter, "_filter_block", spy)
+    img = Raster(40.0 * unit_speckle(2.0, (12, 12), stream(109)))
+    value = filter_pixel(pad_mirror(img, 3), (6, 8), FilterSpec(window=7))
+    assert calls == [((7, 7), 0, 1)]
+    calls.clear()
+    assert value == filter_image(img, FilterSpec(window=7)).array[3, 5]
+    assert {c[1:] for c in calls} == {(0, 12)}
+
+
 def test_filter_determinism():
     rng = stream(104)
     img = Raster(55.0 * unit_speckle(1.0, (16, 16), rng))
@@ -347,16 +391,19 @@ def test_region_decisions_equal_the_solved_tests(window):
     # (centre, region) decisions per window size
     rng = stream(108, window)
     spec = FilterSpec(window=window)
-    central, gathers, _ = nmfilter._plan(spec)
+    plan = nmfilter._plan(spec)
+    central, gathers, _ = plan
+    buffers = nmfilter._Buffers(plan, 2200)
     for kind in KINDS:
         for dof in (1, 2):
             for shared_looks in ("pooled", "sample1"):
                 cfg = TestConfig(kind=kind, dof=dof, shared_looks=shared_looks)
                 w = gamma_windows(rng, 2200, window * window)
-                _, accepted = nmfilter._region_tests(w, cfg, central, gathers)
+                z = np.ascontiguousarray(w.T)  # the engine's (cells, centres) layout
+                _, accepted = nmfilter._region_tests(z, np.log(z), cfg, central, gathers, buffers)
                 want = _solved_decisions(w, cfg, central, gathers)
-                assert np.array_equal(accepted[:, 1:], want), (kind, dof, shared_looks)
-                assert accepted[:, 0].all()
+                assert np.array_equal(accepted[1:].T, want), (kind, dof, shared_looks)
+                assert accepted[0].all()
                 assert want.any() and not want.all()
 
 

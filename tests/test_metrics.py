@@ -146,6 +146,22 @@ def test_q_skips_degenerate_windows():
     assert -1.0 <= q_mean <= 1.0
 
 
+def test_q_takes_any_magnitude():
+    # Q is scale-free: a power of two scales each window pair exactly, so the
+    # bytes stay; 1e+-200 rounds, and without the range rule gave nan or raised
+    rng = stream(308)
+    x = 100.0 * rng.gamma(1.0, 1.0, (32, 32))
+    y = x * rng.gamma(3.0, 1.0 / 3.0, (32, 32))
+    want = q_index(Raster(x), Raster(y), with_counts=True)
+    for k in (-600, 600):
+        got = q_index(Raster(np.ldexp(x, k)), Raster(np.ldexp(y, k)), with_counts=True)
+        assert got == want, k
+    for factor in (1e-200, 1e200):
+        got = q_index(Raster(x * factor), Raster(y * factor), with_counts=True)
+        assert got[:2] == pytest.approx(want[:2], rel=1e-12)
+        assert got[2:] == want[2:]
+
+
 def test_q_all_windows_degenerate():
     x = Raster(np.full((10, 10), 3.0))
     with pytest.raises(DegenerateRegionError):

@@ -1,0 +1,176 @@
+"""Window sums in numpy's order: the order guard, and Lee and Q against the
+copy-based window statistics they replaced, bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
+
+from despeckle import DegenerateRegionError, LeeSpec, Raster, lee_filter, pad_mirror, q_index
+from despeckle.gamma import into_range
+from despeckle.metrics import Q_WINDOW
+from despeckle.windows import ROW_SUM_MAX, RowSum, cell_views, sum_rows, window_max
+
+
+def stream(*key):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def spread_values(rng, shape):
+    """Signed values over ~80 binades, so any change of summation order shows."""
+    return rng.standard_normal(shape) * np.exp2(rng.uniform(-40.0, 40.0, shape))
+
+
+# ------------------------------------------------------------ order guard
+
+
+@pytest.mark.parametrize("count", [1, 7, 2048])
+def test_row_sum_is_numpys_row_order(count):
+    # a numpy whose pairwise summation changes fails here before any digest
+    rng = stream(601, count)
+    for n in range(1, ROW_SUM_MAX + 1):
+        rows = spread_values(rng, (count, n))
+        if count > 1:
+            rows[0, :] = -0.0  # numpy sums an all -0.0 row to 0.0
+        want = bits(np.sum(rows, axis=-1))
+        stacked = sum_rows(np.ascontiguousarray(rows.T), np.empty((8, count)))
+        assert np.array_equal(bits(stacked), want), n
+        one_by_one = RowSum(n, np.empty((8, count)))
+        for term in rows.T:
+            one_by_one.add(term)
+        assert np.array_equal(bits(one_by_one.total()), want), n
+
+
+def test_row_sum_order_differs_from_left_to_right():
+    # the guard above can fail: from 9 terms on the two orders round apart
+    rng = stream(602)
+    rows = spread_values(rng, (2048, 25))
+    left_to_right = np.zeros(2048)
+    for k in range(25):
+        left_to_right += rows[:, k]
+    assert not np.array_equal(bits(np.sum(rows, axis=-1)), bits(left_to_right))
+
+
+def test_row_sum_checks_its_term_count():
+    with pytest.raises(ValueError):
+        RowSum(ROW_SUM_MAX + 1, np.empty((8, 3)))
+    s = RowSum(9, np.empty((8, 3)))
+    s.add(np.ones(3))
+    with pytest.raises(ValueError):
+        s.total()
+
+
+@pytest.mark.parametrize("n", [7, 9, 12, 25])
+def test_cells_major_gather_sums_left_to_right(n):
+    # the engine sums each region's (n, centres) gather over its cells; numpy
+    # adds those rows one after another, as the engine's digests assume
+    rng = stream(603, n)
+    cells = spread_values(rng, (n + 5, 2048))
+    index = rng.permutation(n + 5)[:n].reshape(1, n)
+    out = np.empty((1, n, 2048))
+    got = np.take(cells, index, axis=0, out=out, mode="clip").sum(axis=1)[0]
+    want = np.zeros(2048)
+    for k in index[0]:
+        want += cells[k]
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_cell_views_and_window_max_follow_the_window_copy():
+    rng = stream(604)
+    a = rng.random((9, 13))
+    a[4, 6] = np.nan
+    wins = sliding_window_view(a, (5, 5))
+    views = cell_views(a, 5)
+    for k, view in enumerate(views):
+        assert np.array_equal(view, wins[..., k // 5, k % 5], equal_nan=True)
+    assert np.array_equal(window_max(a, 5), wins.max(axis=(2, 3)), equal_nan=True)
+
+
+# ------------------------------------------- copy-based reference statistics
+
+
+def reference_lee(img: Raster, spec: LeeSpec) -> np.ndarray:
+    """lee_filter as it was written on copied windows."""
+    padded = pad_mirror(img, spec.window // 2).array
+    wins = sliding_window_view(padded, (spec.window, spec.window))
+    wins, shift = into_range(wins.reshape(img.height, img.width, -1))
+    mean = wins.mean(axis=2)
+    var = wins.var(axis=2, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cz2 = var / mean**2
+        gain = np.clip(1.0 - (1.0 / spec.nominal_looks) / cz2, 0.0, 1.0)
+    out = mean + gain * (wins[..., spec.window**2 // 2] - mean)
+    out = np.where(mean > 0, out, 0.0)
+    return np.ldexp(out, -shift)
+
+
+def reference_q(x: np.ndarray, y: np.ndarray):
+    """Q of every usable window and the count of skipped ones, as q_index
+    computed them on copied windows, each window pair scaled by the range
+    rule of its stacked cells."""
+    n = Q_WINDOW * Q_WINDOW
+    wx = sliding_window_view(x, (Q_WINDOW, Q_WINDOW)).reshape(-1, n)
+    wy = sliding_window_view(y, (Q_WINDOW, Q_WINDOW)).reshape(-1, n)
+    pairs, _ = into_range(np.concatenate([wx, wy], axis=1))
+    wx, wy = pairs[:, :n], pairs[:, n:]
+    mx = wx.mean(axis=1)
+    my = wy.mean(axis=1)
+    vx = wx.var(axis=1, ddof=1)
+    vy = wy.var(axis=1, ddof=1)
+    cov = ((wx - mx[:, None]) * (wy - my[:, None])).sum(axis=1) / (n - 1)
+    usable = (vx > 0) & (vy > 0) & (mx**2 + my**2 > 0)
+    sx = np.sqrt(vx[usable])
+    sy = np.sqrt(vy[usable])
+    q = (
+        (cov[usable] / (sx * sy))
+        * (2.0 * mx[usable] * my[usable] / (mx[usable] ** 2 + my[usable] ** 2))
+        * (2.0 * sx * sy / (vx[usable] + vy[usable]))
+    )
+    return q, int(usable.size - q.size)
+
+
+@st.composite
+def patched_images(draw):
+    """(x, y): a speckled reference and a noisy copy, 8-40 px a side, with
+    zero and constant patches, scaled by a power of two over the float range."""
+    h = draw(st.integers(8, 40))
+    w = draw(st.integers(8, 40))
+    rng = stream(605, draw(st.integers(0, 2**32 - 1)))
+    x = 100.0 * rng.gamma(draw(st.sampled_from([1.0, 3.0])), 1.0, (h, w))
+    for _ in range(draw(st.integers(0, 3))):
+        r, c = rng.integers(0, h), rng.integers(0, w)
+        x[r:r + rng.integers(1, 12), c:c + rng.integers(1, 12)] = draw(
+            st.sampled_from([0.0, 0.0, 1.0, 37.5])
+        )
+    y = x * rng.gamma(3.0, 1.0 / 3.0, (h, w))
+    if draw(st.booleans()):
+        y[rng.random((h, w)) < 0.2] = 0.0
+    k = draw(st.sampled_from([0, 0, -1060, -600, -300, 300, 600, 1000]))
+    return np.ldexp(x, k), np.ldexp(y, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=patched_images(), window=st.sampled_from([3, 5, 7]),
+       looks=st.sampled_from([1.0, 2.5]))
+def test_lee_equals_the_copied_window_statistics(pair, window, looks):
+    img = Raster(pair[0])
+    spec = LeeSpec(window=window, nominal_looks=looks)
+    assert np.array_equal(bits(lee_filter(img, spec).array), bits(reference_lee(img, spec)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=patched_images())
+def test_q_equals_the_copied_window_statistics(pair):
+    x, y = pair
+    q, skipped = reference_q(x, y)
+    if q.size == 0:
+        with pytest.raises(DegenerateRegionError):
+            q_index(Raster(x), Raster(y))
+        return
+    want = (float(q.mean()), float(q.std(ddof=0)), q.size, skipped)
+    assert np.array_equal(bits(q_index(Raster(x), Raster(y), with_counts=True)), bits(want))
