@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dof", type=int, choices=(1, 2), default=spec.test.dof)
     p.add_argument("--shared", choices=("pooled", "sample1"), default=spec.test.shared_looks,
                    help="looks estimate shared by the test statistics")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads sharing the image's row blocks (default 1)")
     _add_format(p)
     p.set_defaults(func=cmd_filter)
 
@@ -130,7 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shared", choices=("pooled", "sample1"), default=plan.shared_looks)
     p.add_argument("--beta", type=float, default=plan.renyi_order)
     p.add_argument("--geometry", help="geometry file replacing the built-in layout")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes, forked (POSIX only), one (situation, replicate)"
+                        " task at a time; 1 runs in this process (default 1)")
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("masks", help="print the committed region mask tables")

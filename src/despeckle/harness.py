@@ -15,8 +15,10 @@ Rows are sorted before writing, making the CSV byte-stable.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -147,7 +149,8 @@ def _apply_filter(kind, window, corrupted, sit, level, plan):
     return filter_image(corrupted, FilterSpec(window=window, test=plan.test_config(kind, level)))
 
 
-def _replicate_rows(plan, geom, phantoms, sid, rep):
+def _replicate_rows(plan, geom, phantoms, task):
+    sid, rep = task
     sit = SITUATIONS[sid]
     phantom = phantoms[sid]
     corrupted = corrupt(phantom, sit, replicate_stream(plan.master_seed, sid, rep))
@@ -176,11 +179,30 @@ def _replicate_rows(plan, geom, phantoms, sid, rep):
     return rows
 
 
+_worker_protocol = None  # (plan, geom, phantoms), set once in each pool worker
+
+
+def _init_worker(plan, geom, phantoms):
+    global _worker_protocol
+    _worker_protocol = (plan, geom, phantoms)
+
+
+def _worker_rows(task):
+    return _replicate_rows(*_worker_protocol, task)
+
+
 def run_protocol(plan: RunPlan, geom: PhantomGeometry | None = None, threads: int = 1) -> list:
     """Execute the plan and return unsorted result rows (dicts).
 
     Replicates are independent tasks; `threads` only controls how they are
-    scheduled, never the numbers produced.
+    scheduled, never the numbers produced.  With one worker the tasks run in
+    this process.  With more, each of min(threads, tasks) workers is a process
+    forked from this one (the "fork" start method, so POSIX only), handed the
+    plan, geometry and phantoms once, and sent (situation, replicate) pairs;
+    a worker's exception reaches the caller with its class and message.
+    Python 3.12 and later may warn (DeprecationWarning) that forking a process
+    with live threads can deadlock: numpy's OpenBLAS starts native threads at
+    import.
     """
     if geom is None:
         geom = default_geometry(plan.size)
@@ -188,8 +210,14 @@ def run_protocol(plan: RunPlan, geom: PhantomGeometry | None = None, threads: in
         raise InvalidArgumentError("geometry size does not match the plan")
     phantoms = {sid: make_phantom(geom, SITUATIONS[sid]) for sid in plan.situations}
     tasks = [(sid, rep) for sid in plan.situations for rep in range(plan.replicates)]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        chunks = list(pool.map(lambda t: _replicate_rows(plan, geom, phantoms, *t), tasks))
+    workers = min(threads, len(tasks))
+    if workers <= 1:
+        chunks = list(map(partial(_replicate_rows, plan, geom, phantoms), tasks))
+    else:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_worker,
+                                 initargs=(plan, geom, phantoms)) as pool:
+            chunks = list(pool.map(_worker_rows, tasks))
     return [row for chunk in chunks for row in chunk]
 
 

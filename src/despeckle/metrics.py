@@ -139,19 +139,29 @@ def _laplacian(arr: np.ndarray) -> np.ndarray:
     )
 
 
+def _unit_scaled(a: np.ndarray) -> np.ndarray:
+    """a times the power of two that puts its largest magnitude in [1, 2); zeros stay zeros."""
+    return np.ldexp(a, 1 - np.frexp(np.abs(a).max())[1])
+
+
 def laplacian_correlation(x: Raster, y: Raster) -> float:
     """Pearson correlation between the 4-neighbour Laplacians of x and y.
 
     An edge-fidelity measure: 1 means the test image's edge structure
     matches the reference exactly (affine intensity changes included).
+
+    Each centred Laplacian is scaled by the power of two that puts its
+    largest magnitude in [1, 2) before the sums, so intensities of any
+    magnitude neither overflow nor underflow; the scaling is exact, so it
+    changes no bit of the correlation of in-range images.
     """
     _check_same_shape(x, y)
     if x.height < 3 or x.width < 3:
         raise InvalidArgumentError("images must be at least 3x3")
     lx = _laplacian(x.array).ravel()
     ly = _laplacian(y.array).ravel()
-    dx = lx - lx.mean()
-    dy = ly - ly.mean()
+    dx = _unit_scaled(lx - lx.mean())
+    dy = _unit_scaled(ly - ly.mean())
     denom = np.sqrt((dx**2).sum() * (dy**2).sum())
     if denom == 0:
         raise DegenerateRegionError("constant Laplacian, correlation undefined")

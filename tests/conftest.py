@@ -8,10 +8,11 @@ FAST_SEED = 0
 
 @pytest.fixture(scope="session")
 def fast_run(tmp_path_factory):
-    """One full --fast protocol, run twice (1 and 4 worker threads).
+    """One full --fast protocol, run twice: in-process (--threads 1) and on 4
+    forked worker processes (--threads 4).
 
     Several acceptance checks share this: the CSVs must be byte-identical,
-    and the single-thread rows carry the ENL / Q / edge-variance medians.
+    and the in-process rows carry the ENL / Q / edge-variance medians.
     """
     outdir = tmp_path_factory.mktemp("fastrun")
     path1 = outdir / "fast_t1.csv"

@@ -201,6 +201,26 @@ def test_laplacian_correlation_degenerate():
         laplacian_correlation(flat, other)
 
 
+def test_laplacian_correlation_is_free_of_the_intensity_scale():
+    geom = default_geometry(64)
+    sit = SITUATIONS[2]
+    clean = make_phantom(geom, sit)
+    noisy = corrupt(clean, sit, replicate_stream(0, 2, 0)).array
+    base = laplacian_correlation(clean, Raster(noisy))
+    with np.errstate(all="raise"):
+        # a power of two scales exactly, so the bits stay
+        for k in (-600, 600):
+            scaled = laplacian_correlation(Raster(np.ldexp(clean.array, k)),
+                                           Raster(np.ldexp(noisy, k)))
+            assert scaled == base, k
+        # a decimal factor rounds the pixels, and only that moves the value
+        for factor in (1e150, 1e-150, 1e200, 1e-200):
+            scaled = laplacian_correlation(Raster(clean.array * factor), Raster(noisy * factor))
+            assert scaled == pytest.approx(base, rel=1e-12), factor
+        with pytest.raises(DegenerateRegionError):
+            laplacian_correlation(Raster(np.full((6, 6), 1e-200)), Raster(noisy[:6, :6]))
+
+
 # ------------------------------------------------------------ error metrics
 
 

@@ -1,16 +1,24 @@
 import dataclasses
+import multiprocessing
+import pickle
+import warnings
 
 import numpy as np
 import pytest
 
 from despeckle import (
+    DegenerateRegionError,
+    DespeckleError,
     DomainError,
     FormatError,
     InvalidArgumentError,
     PhantomGeometry,
     Raster,
+    cli,
     default_geometry,
     enl,
+    errors,
+    harness,
     read_geometry,
     render_phantom,
     unit_speckle,
@@ -317,14 +325,50 @@ def test_run_protocol_geometry_size_check():
 
 
 def test_run_protocol_thread_count_is_invisible(tmp_path):
-    plan = tiny_plan()
-    rows1 = run_protocol(plan, threads=1)
-    rows2 = run_protocol(plan, threads=2)
-    p1 = tmp_path / "t1.csv"
-    p2 = tmp_path / "t2.csv"
-    write_csv(rows1, p1, comments=("seed = 7",))
-    write_csv(rows2, p2, comments=("seed = 7",))
-    assert p1.read_bytes() == p2.read_bytes()
+    plan = tiny_plan()  # 2 tasks: 3 and 5 ask for more workers than tasks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        csvs = []
+        for threads in (1, 2, 3, 5):
+            path = tmp_path / f"t{threads}.csv"
+            write_csv(run_protocol(plan, threads=threads), path, comments=("seed = 7",))
+            assert multiprocessing.active_children() == [], threads
+            csvs.append(path.read_bytes())
+    assert csvs[1:] == csvs[:1] * 3
+
+
+def test_errors_pickle_with_class_and_message():
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, DespeckleError)]
+    assert len(classes) == 6
+    for cls in classes:
+        back = pickle.loads(pickle.dumps(cls("a message")))
+        assert type(back) is cls and str(back) == "a message"
+
+
+def test_worker_errors_reach_the_caller_unchanged(tmp_path, monkeypatch):
+    real = harness.compute_report
+    failure = [DegenerateRegionError("situation 3 is degenerate")]
+
+    def failing(reference, test, geom):
+        # forked workers inherit this patch
+        if reference.array.min() == SITUATIONS[3].background_mean:
+            raise failure[0]
+        return real(reference, test, geom)
+
+    monkeypatch.setattr(harness, "compute_report", failing)
+    plan = fast_plan(situations=(2, 3), replicates=2, filters=(("input", None),))
+    with pytest.raises(DegenerateRegionError) as caught:
+        run_protocol(plan, threads=2)
+    assert type(caught.value) is DegenerateRegionError
+    assert str(caught.value) == "situation 3 is degenerate"
+    assert multiprocessing.active_children() == []
+    argv = ["montecarlo", "--fast", "--situations", "2,3", "--replicates", "2",
+            "--filters", "input", "--threads", "2", "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 1
+    failure[0] = InvalidArgumentError("situation 3 is invalid")
+    assert cli.main(argv) == 2
+    assert multiprocessing.active_children() == []
 
 
 def test_write_csv_sorts_and_read_round_trips(tmp_path):
