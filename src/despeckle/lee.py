@@ -46,7 +46,7 @@ def lee_filter(img: Raster, spec: LeeSpec) -> Raster:
         )
     padded = pad_mirror(img, spec.window // 2).array
     shift = range_shift(padded.min(), padded.max(), lambda: window_max(padded, spec.window))
-    (mean,), (var,) = window_moments([padded], spec.window, shift)
+    mean, var = window_moments(padded, spec.window, shift)
     noise_cv2 = 1.0 / spec.nominal_looks
     with np.errstate(divide="ignore", invalid="ignore"):
         cz2 = var / mean**2

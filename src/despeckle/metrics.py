@@ -22,9 +22,10 @@ from .errors import DegenerateRegionError, DespeckleError, DomainError, InvalidA
 from .gamma import into_range, range_shift
 from .phantom import PhantomGeometry
 from .raster import Raster
-from .windows import window_max, window_moments
+from .windows import sum_rows, window_max, window_min
 
 Q_WINDOW = 8
+Q_CHUNK = 1024  # windows per Q gather: bounds its buffers at ~1.6 MB
 DCON_OFFSET = 23.0 / 255.0
 
 
@@ -69,52 +70,106 @@ def edge_measures(img: Raster, geom: PhantomGeometry, reference: Raster) -> tupl
     gradient(x) = |mean(outside band) - mean(inside band)|, variance is the
     same with unbiased variances; both are reported as absolute deviations
     from the reference values, so smallest is best.
+
+    The four strips (both bands of both images) are taken at the one power of
+    two 2^s that gamma.range_shift gives their maximum, so no sum or square
+    overflows or underflows; the gradient is scaled back by 2^-s and the
+    variance by 2^-2s, which is exact, and in-range images are not scaled.  A
+    nonzero variance deviation that 2^-2s would carry out of the normal float
+    range is None, which compute_report writes as NA.
     """
     _check_same_shape(img, reference)
     outside, inside = geom.edge_strips()
-
-    def measures(arr):
-        a, b = arr[outside].ravel(), arr[inside].ravel()
-        if a.size < 2 or b.size < 2:
-            raise DegenerateRegionError("edge strips need at least 2 pixels each")
-        return abs(a.mean() - b.mean()), abs(a.var(ddof=1) - b.var(ddof=1))
-
-    g_img, v_img = measures(img.array)
-    g_ref, v_ref = measures(reference.array)
-    return float(abs(g_img - g_ref)), float(abs(v_img - v_ref))
+    strips = [arr[band].ravel() for arr in (img.array, reference.array)
+              for band in (outside, inside)]
+    if strips[0].size < 2 or strips[1].size < 2:
+        raise DegenerateRegionError("edge strips need at least 2 pixels each")
+    highest = max(strip.max() for strip in strips)
+    s = int(range_shift(min(strip.min() for strip in strips), highest, lambda: highest))
+    if s:
+        strips = [np.ldexp(strip, s) for strip in strips]
+    a, b, ref_a, ref_b = strips
+    g_img, v_img = abs(a.mean() - b.mean()), abs(a.var(ddof=1) - b.var(ddof=1))
+    g_ref, v_ref = abs(ref_a.mean() - ref_b.mean()), abs(ref_a.var(ddof=1) - ref_b.var(ddof=1))
+    gradient = float(np.ldexp(abs(g_img - g_ref), -s))
+    variance = abs(v_img - v_ref)
+    if s and variance and not -1021 <= np.frexp(variance)[1] - 2 * s <= 1024:
+        return gradient, None  # 2^-2s would overflow it or lose its low bits
+    return gradient, float(np.ldexp(variance, -2 * s))
 
 
 def _q_window_values(x: np.ndarray, y: np.ndarray):
+    """Q of every used window, in row-major order on the window grid, and the
+    count of skipped windows.  Only the windows where the reference x varies
+    are gathered, Q_CHUNK at a time, cells-major into one reused buffer: row k
+    of image i holds cell k of each window.  Each mean, variance and the
+    covariance then takes the steps of np.mean, np.var(ddof=1) and
+    ((x - mx) * (y - my)).sum() / (n - 1) on the copied window, in RowSum's
+    order, so it has their bits."""
+    n = Q_WINDOW * Q_WINDOW
+    top = window_max(x, Q_WINDOW)
+    # a window holding nan varies (nan != nan); its nan variance leaves it unused
+    varying = np.flatnonzero(window_min(x, Q_WINDOW) != top)
     shift = range_shift(
         min(x.min(), y.min()),
         max(x.max(), y.max()),
-        lambda: np.maximum(window_max(x, Q_WINDOW), window_max(y, Q_WINDOW)),
+        lambda: np.maximum(top, window_max(y, Q_WINDOW)),
     )
-    (mx, my), (vx, vy, cov) = window_moments([x, y], Q_WINDOW, shift)
-    usable = (vx > 0) & (vy > 0) & (mx**2 + my**2 > 0)
-    sx = np.sqrt(vx[usable])
-    sy = np.sqrt(vy[usable])
-    q = (
-        (cov[usable] / (sx * sy))
-        * (2.0 * mx[usable] * my[usable] / (mx[usable] ** 2 + my[usable] ** 2))
-        * (2.0 * sx * sy / (vx[usable] + vy[usable]))
-    )
-    return q, int(usable.size - usable.sum())
+    shift = np.ravel(shift) if np.any(shift) else None
+    flat = (np.ravel(x), np.ravel(y))
+    offsets = [r * x.shape[1] + c for r in range(Q_WINDOW) for c in range(Q_WINDOW)]
+    chunk = min(Q_CHUNK, varying.size)
+    buf = np.empty(3 * n * chunk)
+    acc = np.empty(8 * chunk)
+    parts = []
+    for start in range(0, varying.size, Q_CHUNK):
+        windows = varying[start:start + Q_CHUNK]
+        m = windows.size
+        corner = windows + windows // top.shape[1] * (Q_WINDOW - 1)  # flat index of cell 0
+        cells = buf[:3 * n * m].reshape(3, n, m)
+        for image, rows in zip(flat, cells):
+            for offset, row in zip(offsets, rows):
+                image[offset:].take(corner, out=row, mode="clip")
+        if shift is not None:
+            np.ldexp(cells[:2], shift[windows], out=cells[:2])
+        sums = acc[:8 * m].reshape(8, m)
+        mx = sum_rows(cells[0], sums) / n
+        my = sum_rows(cells[1], sums) / n
+        np.subtract(cells[0], mx, out=cells[0])
+        np.subtract(cells[1], my, out=cells[1])
+        vx, vy, cov = (
+            sum_rows(np.multiply(cells[i], cells[j], out=cells[2]), sums) / (n - 1)
+            for i, j in ((0, 0), (1, 1), (0, 1))
+        )
+        usable = (vx > 0) & (vy > 0) & (mx**2 + my**2 > 0)
+        sx = np.sqrt(vx[usable])
+        sy = np.sqrt(vy[usable])
+        parts.append(
+            (cov[usable] / (sx * sy))
+            * (2.0 * mx[usable] * my[usable] / (mx[usable] ** 2 + my[usable] ** 2))
+            * (2.0 * sx * sy / (vx[usable] + vy[usable]))
+        )
+    q = np.concatenate(parts) if parts else np.empty(0)
+    return q, top.size - q.size
 
 
 def q_index(x: Raster, y: Raster, with_counts: bool = False):
     """Mean and standard deviation of Q over all sliding 8x8 windows.
 
     Q multiplies a correlation, a luminance, and a contrast factor and lies
-    in [-1, 1] with 1 for a perfect match.  Windows where any factor's
-    denominator vanishes (e.g. the reference is locally constant) are
-    skipped and counted; with_counts=True appends (used, skipped).
+    in [-1, 1] with 1 for a perfect match.  A window is skipped, and counted,
+    where the reference x is constant (its minimum equals its maximum,
+    decided exactly, so a scale that rounds a constant's sum cannot turn it
+    into a used window) or where a factor's denominator vanishes (the
+    variance of x or y, or mx^2 + my^2, is not positive); with_counts=True
+    appends (used, skipped).  Means, variances and the covariance are taken
+    only over the windows where x varies.
 
     Q is scale-free, so each window pair is worked at the one power of two
     that gamma.range_shift takes from the pair's maximum: intensities of any
-    magnitude give a value, and in-range pairs are not scaled.  The window
-    moments come from windows.window_moments, one shifted view per cell
-    summed in np.sum's order, with the bytes of the copied windows.
+    magnitude give a value, and in-range pairs are not scaled.  Each moment
+    is summed in np.sum's order (windows.sum_rows), with the bytes of the
+    copied windows.
     """
     _check_same_shape(x, y)
     if x.height < Q_WINDOW or x.width < Q_WINDOW:

@@ -3,10 +3,11 @@
 Lee's filter, the quality index Q and the filter engine's pooled output sum
 each window's cells.  Copying every window into a row and calling np.sum
 costs a window's worth of memory per pixel; here each sum adds one array per
-window cell instead, a shifted view of the image or a (cells, centres) row,
-so no window is copied.  RowSum adds those arrays in the order np.sum takes
-over a contiguous row, which keeps every result bit for bit that of the
-copy-based code.
+window cell instead, a shifted view of the image or a row of a (cells,
+centres) or (cells, windows) gather, so no window is copied.  RowSum adds
+those arrays in the order np.sum takes over a contiguous row, which keeps
+every result bit for bit that of the copy-based code.  window_min and
+window_max tell Q which windows are constant.
 """
 
 from __future__ import annotations
@@ -102,10 +103,26 @@ def cell_views(a: np.ndarray, size: int) -> list:
 def window_max(a: np.ndarray, size: int) -> np.ndarray:
     """The maximum of every size x size window of a 2-D array (nan if the
     window holds one), on the window grid."""
-    views = cell_views(a, size)
-    out = views[0].copy()
-    for view in views[1:]:
-        np.maximum(out, view, out=out)
+    return _window_extreme(a, size, np.maximum)
+
+
+def window_min(a: np.ndarray, size: int) -> np.ndarray:
+    """The minimum of every size x size window of a 2-D array (nan if the
+    window holds one), on the window grid."""
+    return _window_extreme(a, size, np.minimum)
+
+
+def _window_extreme(a, size, pick):
+    """pick (np.maximum or np.minimum, which both keep nan) over every size x
+    size window, separably: over size columns of each row, then over size rows
+    of those."""
+    h, w = a.shape[0] - size + 1, a.shape[1] - size + 1
+    rows = a[:, :w].copy()
+    for c in range(1, size):
+        pick(rows, a[:, c:c + w], out=rows)
+    out = rows[:h].copy()
+    for r in range(1, size):
+        pick(out, rows[r:r + h], out=out)
     return out
 
 
@@ -122,28 +139,21 @@ def scaled_cells(a: np.ndarray, size: int, shift):
         yield np.ldexp(view, shift, out=buf)
 
 
-def window_moments(images, size: int, shift):
-    """The moments of every size x size window of one or two equal-shape
-    images, each scaled by 2^shift (see scaled_cells): ([mean, ...],
-    [variance, ...]) with the unbiased variances, and for two images the
-    covariance appended to the variances.  Each is bit for bit what np.mean,
-    np.var(ddof=1) and ((x - mx) * (y - my)).sum() / (n - 1) give on the
-    window copied into a row, for they take the same steps in RowSum's order."""
+def window_moments(a: np.ndarray, size: int, shift):
+    """The mean and unbiased variance of every size x size window of a 2-D
+    array, each window scaled by 2^shift (see scaled_cells).  Each is bit for
+    bit what np.mean and np.var(ddof=1) give on the window copied into a row,
+    for they take the same steps in RowSum's order."""
     n = size * size
-    grid = (images[0].shape[0] - size + 1, images[0].shape[1] - size + 1)
-    products = [(0, 0)] if len(images) == 1 else [(0, 0), (1, 1), (0, 1)]
-    acc = np.empty((len(products), min(n, 8), *grid))
-    sums = [RowSum(n, acc[i]) for i in range(len(images))]
-    for terms in zip(*(scaled_cells(a, size, shift) for a in images)):
-        for s, term in zip(sums, terms):
-            s.add(term)
-    means = [s.total() / n for s in sums]
-    sums = [RowSum(n, acc[i]) for i in range(len(products))]
-    devs = np.empty((len(images), *grid))
-    term = np.empty(grid)
-    for cells in zip(*(scaled_cells(a, size, shift) for a in images)):
-        for dev, cell, mean in zip(devs, cells, means):
-            np.subtract(cell, mean, out=dev)
-        for s, (i, j) in zip(sums, products):
-            s.add(np.multiply(devs[i], devs[j], out=term))
-    return means, [s.total() / (n - 1) for s in sums]
+    grid = (a.shape[0] - size + 1, a.shape[1] - size + 1)
+    acc = np.empty((min(n, 8), *grid))
+    total = RowSum(n, acc)
+    for cell in scaled_cells(a, size, shift):
+        total.add(cell)
+    mean = total.total() / n
+    total = RowSum(n, acc)
+    dev = np.empty(grid)
+    for cell in scaled_cells(a, size, shift):
+        np.subtract(cell, mean, out=dev)
+        total.add(np.multiply(dev, dev, out=dev))
+    return mean, total.total() / (n - 1)

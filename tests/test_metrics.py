@@ -1,13 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from despeckle import (
     METRIC_HEADER,
     DegenerateRegionError,
     FilterSpec,
     InvalidArgumentError,
+    LeeSpec,
     MetricReport,
     Raster,
     TestConfig,
@@ -18,6 +22,7 @@ from despeckle import (
     error_metrics,
     filter_image,
     laplacian_correlation,
+    lee_filter,
     line_contrast,
     q_index,
     sample,
@@ -106,6 +111,35 @@ def test_edge_measures_shift_invariant():
     assert v1 == pytest.approx(v0, rel=1e-9)
 
 
+def situation_2_pair():
+    """The 64x64 situation-2 phantom and its seed-0 noisy image."""
+    geom = default_geometry(64)
+    sit = SITUATIONS[2]
+    clean = make_phantom(geom, sit)
+    return geom, clean, corrupt(clean, sit, replicate_stream(0, 2, 0))
+
+
+def test_edge_measures_take_any_magnitude():
+    # the gradient scales with the image; the variance deviation (~7e3) scaled
+    # by the square of these factors leaves the float range, so it is None,
+    # where it was nan with overflow warnings (x1e200) or a silent 0.0 (x1e-200)
+    geom, clean, noisy = situation_2_pair()
+    gradient, variance = edge_measures(noisy, geom, clean)
+    with np.errstate(all="raise"):
+        for k in (-300, 300):
+            scaled = edge_measures(Raster(np.ldexp(noisy.array, k)), geom,
+                                   Raster(np.ldexp(clean.array, k)))
+            assert scaled == (np.ldexp(gradient, k), np.ldexp(variance, 2 * k)), k
+        for k in (-600, 600):
+            scaled = edge_measures(Raster(np.ldexp(noisy.array, k)), geom,
+                                   Raster(np.ldexp(clean.array, k)))
+            assert scaled == (np.ldexp(gradient, k), None), k
+        for factor in (1e-200, 1e200):
+            g, v = edge_measures(Raster(noisy.array * factor), geom, Raster(clean.array * factor))
+            assert g == pytest.approx(gradient * factor, rel=1e-12)
+            assert v is None, factor
+
+
 # ----------------------------------------------------------------- q index
 
 
@@ -160,6 +194,18 @@ def test_q_takes_any_magnitude():
         got = q_index(Raster(x * factor), Raster(y * factor), with_counts=True)
         assert got[:2] == pytest.approx(want[:2], rel=1e-12)
         assert got[2:] == want[2:]
+
+
+def test_q_skip_rule_is_free_of_the_intensity_scale():
+    # x1.001 rounds the sums of constant windows, which gave them a variance
+    # of ~1e-28 and counted them as used; constancy is decided as min == max
+    _, clean, noisy = situation_2_pair()
+    q_mean, _, used, skipped = q_index(clean, noisy, with_counts=True)
+    assert (used, skipped) == (1874, 1375)
+    assert q_mean == pytest.approx(0.5292275814149883, rel=1e-12)
+    scaled = q_index(Raster(clean.array * 1.001), Raster(noisy.array * 1.001), with_counts=True)
+    assert scaled[2:] == (1874, 1375)
+    assert scaled[0] == pytest.approx(0.5292275814149883, rel=1e-12)
 
 
 def test_q_all_windows_degenerate():
@@ -329,6 +375,43 @@ def test_compute_report_lets_programming_errors_through(monkeypatch):
 def test_compute_report_shape_check():
     with pytest.raises(InvalidArgumentError):
         compute_report(Raster(np.ones((8, 8))), Raster(np.ones((9, 8))))
+
+
+SCALE_FREE = ("enl", "q_mean", "q_std", "beta_rho", "mae", "mse", "nmse", "dcon")
+
+
+def same_bits(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and float(a).hex() == float(b).hex()
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(situation=st.sampled_from(sorted(SITUATIONS)), replicate=st.integers(0, 2**16),
+       lee=st.booleans(), k=st.sampled_from([-600, -300, 300, 600]))
+def test_compute_report_is_exact_under_a_power_of_two(situation, replicate, lee, k):
+    # scale-free columns keep their bits, line contrast and edge gradient scale
+    # by 2^k and edge variance by 2^2k, exactly or as NA; nothing warns
+    geom = default_geometry(64)
+    sit = SITUATIONS[situation]
+    clean = make_phantom(geom, sit)
+    test = corrupt(clean, sit, replicate_stream(replicate, situation, 0))
+    if lee:
+        test = lee_filter(test, LeeSpec(window=5, nominal_looks=sit.looks))
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = compute_report(clean, test, geom)
+        scaled = compute_report(Raster(np.ldexp(clean.array, k)),
+                                Raster(np.ldexp(test.array, k)), geom)
+    assert "NA" not in base.as_csv_row().split(",")
+    for name in SCALE_FREE:
+        assert same_bits(getattr(scaled, name), getattr(base, name)), name
+    assert scaled.line_contrast_error == np.ldexp(base.line_contrast_error, k)
+    assert scaled.edge_gradient == np.ldexp(base.edge_gradient, k)
+    if abs(k) == 300:
+        assert scaled.edge_variance == np.ldexp(base.edge_variance, 2 * k)
+    else:  # a deviation of ~1e2 to 1e5 times 2^+-1200 leaves the float range
+        assert scaled.edge_variance is None
 
 
 # ------------------------------------------------- filtering improves Q

@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from despeckle import DegenerateRegionError, LeeSpec, Raster, lee_filter, pad_mirror, q_index
+from despeckle import (
+    DegenerateRegionError, LeeSpec, Raster, default_geometry, lee_filter, pad_mirror, q_index,
+)
 from despeckle.gamma import into_range
-from despeckle.metrics import Q_WINDOW
-from despeckle.windows import ROW_SUM_MAX, RowSum, cell_views, sum_rows, window_max
+from despeckle.harness import SITUATIONS, corrupt, make_phantom, replicate_stream
+from despeckle.metrics import Q_CHUNK, Q_WINDOW
+from despeckle.windows import ROW_SUM_MAX, RowSum, cell_views, sum_rows, window_max, window_min
 
 
 def stream(*key):
@@ -81,14 +84,21 @@ def test_cells_major_gather_sums_left_to_right(n):
 
 
 def test_cell_views_and_window_max_follow_the_window_copy():
+    # window_max and window_min are separable; nan in a window wins either way
     rng = stream(604)
-    a = rng.random((9, 13))
+    a = rng.random((13, 17))
     a[4, 6] = np.nan
-    wins = sliding_window_view(a, (5, 5))
-    views = cell_views(a, 5)
-    for k, view in enumerate(views):
-        assert np.array_equal(view, wins[..., k // 5, k % 5], equal_nan=True)
-    assert np.array_equal(window_max(a, 5), wins.max(axis=(2, 3)), equal_nan=True)
+    a[12, 0] = np.nan
+    a[5:, 9:] = 0.25  # constant windows
+    for size in (5, 8):
+        wins = sliding_window_view(a, (size, size))
+        views = cell_views(a, size)
+        for k, view in enumerate(views):
+            assert np.array_equal(view, wins[..., k // size, k % size], equal_nan=True)
+        top, bottom = window_max(a, size), window_min(a, size)
+        assert np.isnan(top).any() and (bottom == top).any()
+        assert np.array_equal(top, wins.max(axis=(2, 3)), equal_nan=True)
+        assert np.array_equal(bottom, wins.min(axis=(2, 3)), equal_nan=True)
 
 
 # ------------------------------------------- copy-based reference statistics
@@ -111,11 +121,13 @@ def reference_lee(img: Raster, spec: LeeSpec) -> np.ndarray:
 
 def reference_q(x: np.ndarray, y: np.ndarray):
     """Q of every usable window and the count of skipped ones, as q_index
-    computed them on copied windows, each window pair scaled by the range
-    rule of its stacked cells."""
+    defines them on copied windows: a window is skipped where x is constant
+    (min == max) or a factor's denominator is not positive, and each window
+    pair is scaled by the range rule of its stacked cells."""
     n = Q_WINDOW * Q_WINDOW
     wx = sliding_window_view(x, (Q_WINDOW, Q_WINDOW)).reshape(-1, n)
     wy = sliding_window_view(y, (Q_WINDOW, Q_WINDOW)).reshape(-1, n)
+    varying = wx.min(axis=1) != wx.max(axis=1)
     pairs, _ = into_range(np.concatenate([wx, wy], axis=1))
     wx, wy = pairs[:, :n], pairs[:, n:]
     mx = wx.mean(axis=1)
@@ -123,7 +135,7 @@ def reference_q(x: np.ndarray, y: np.ndarray):
     vx = wx.var(axis=1, ddof=1)
     vy = wy.var(axis=1, ddof=1)
     cov = ((wx - mx[:, None]) * (wy - my[:, None])).sum(axis=1) / (n - 1)
-    usable = (vx > 0) & (vy > 0) & (mx**2 + my**2 > 0)
+    usable = varying & (vx > 0) & (vy > 0) & (mx**2 + my**2 > 0)
     sx = np.sqrt(vx[usable])
     sy = np.sqrt(vy[usable])
     q = (
@@ -132,6 +144,16 @@ def reference_q(x: np.ndarray, y: np.ndarray):
         * (2.0 * sx * sy / (vx[usable] + vy[usable]))
     )
     return q, int(usable.size - q.size)
+
+
+def assert_q_is_the_reference(x, y):
+    q, skipped = reference_q(x, y)
+    if q.size == 0:
+        with pytest.raises(DegenerateRegionError):
+            q_index(Raster(x), Raster(y))
+        return
+    want = (float(q.mean()), float(q.std(ddof=0)), q.size, skipped)
+    assert np.array_equal(bits(q_index(Raster(x), Raster(y), with_counts=True)), bits(want))
 
 
 @st.composite
@@ -166,11 +188,42 @@ def test_lee_equals_the_copied_window_statistics(pair, window, looks):
 @settings(max_examples=60, deadline=None)
 @given(pair=patched_images())
 def test_q_equals_the_copied_window_statistics(pair):
-    x, y = pair
-    q, skipped = reference_q(x, y)
-    if q.size == 0:
+    assert_q_is_the_reference(*pair)
+
+
+# The hypothesis references are speckled, so nearly every window varies; these
+# cases gather few windows (phantoms), every window, and none.
+
+
+@pytest.mark.parametrize("situation", sorted(SITUATIONS))
+def test_q_on_phantoms_equals_the_copied_window_statistics(situation):
+    # a phantom is constant over much of its area: the gather takes a subset
+    geom = default_geometry(64)
+    sit = SITUATIONS[situation]
+    clean = make_phantom(geom, sit)
+    noisy = corrupt(clean, sit, replicate_stream(0, situation, 0))
+    lee = lee_filter(noisy, LeeSpec(window=5, nominal_looks=sit.looks))
+    for test_image in (noisy, lee):
+        assert_q_is_the_reference(clean.array, test_image.array)
+    _, _, used, skipped = q_index(clean, noisy, with_counts=True)
+    assert used > 0 and skipped > 0
+
+
+def test_q_on_a_textured_reference_equals_the_copied_window_statistics():
+    # every window is gathered, over more than one chunk
+    rng = stream(606)
+    x = 100.0 * rng.gamma(1.0, 1.0, (60, 50))
+    y = x * rng.gamma(3.0, 1.0 / 3.0, x.shape)
+    assert (60 - Q_WINDOW + 1) * (50 - Q_WINDOW + 1) > Q_CHUNK
+    assert_q_is_the_reference(x, y)
+    assert q_index(Raster(x), Raster(y), with_counts=True)[3] == 0
+
+
+def test_q_on_a_constant_reference_is_degenerate():
+    rng = stream(607)
+    y = rng.gamma(3.0, 1.0, (20, 20))
+    for level in (0.0, 1.001, 2.0**-700):
+        x = np.full((20, 20), level)
+        assert reference_q(x, y)[0].size == 0
         with pytest.raises(DegenerateRegionError):
             q_index(Raster(x), Raster(y))
-        return
-    want = (float(q.mean()), float(q.std(ddof=0)), q.size, skipped)
-    assert np.array_equal(bits(q_index(Raster(x), Raster(y), with_counts=True)), bits(want))
