@@ -158,25 +158,36 @@ def run_test(sample1, sample_i, cfg: TestConfig) -> TestOutcome:
 # +inf.
 
 
-def _rate(kind, mean1, mean_i, m, n, beta):
+def _rate(kind, mean1, mean_i, m, n, beta, out=None, work=None):
     """The per-look rate a: KL and Renyi are L a, Hellinger is
-    (8mn/(m+n)) (1 - e^(-L a)) with a = -ln BC."""
+    (8mn/(m+n)) (1 - e^(-L a)) with a = -ln BC.  out and work, float arrays
+    of the broadcast shape given both or neither, take a and an
+    intermediate."""
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(mean1), np.shape(mean_i))
+        out, work = np.empty(shape), np.empty(shape)
     if kind == "hellinger":
-        # minus the log of the Bhattacharyya coefficient, >= 0 up to rounding
-        return -(np.log(2.0) + 0.5 * (np.log(mean1) + np.log(mean_i)) - np.log(mean1 + mean_i))
+        # minus the log of the Bhattacharyya coefficient, >= 0 up to rounding:
+        # -(ln 2 + (ln l1 + ln li) / 2 - ln(l1 + li))
+        np.add(np.log(mean1), np.log(mean_i, out=out), out=out)
+        np.add(np.log(2.0), np.multiply(0.5, out, out=out), out=out)
+        np.subtract(out, np.log(np.add(mean1, mean_i, out=work), out=work), out=out)
+        return np.negative(out, out=out)
     if kind == "kl":
         # (l1^2 + li^2)/(2 l1 li) - 1 as (l1 - li)^2 / (2 l1 li), which cannot
         # go negative; np.square, unlike ** 2 on a scalar (C pow), rounds the
         # same for scalars and arrays
-        return (2.0 * m * n / (m + n)) * np.square(mean1 - mean_i) / (2.0 * mean1 * mean_i)
-    # beta(beta-1) < 0 and a log-argument <= 0 keep the Renyi rate >= 0
-    log_arg = (
-        np.log(mean1)
-        + np.log(mean_i)
-        - np.log(beta * mean_i + (1.0 - beta) * mean1)
-        - np.log(beta * mean1 + (1.0 - beta) * mean_i)
-    )
-    return (2.0 * m * n / (m + n)) / (2.0 * beta * (beta - 1.0)) * log_arg
+        np.square(np.subtract(mean1, mean_i, out=out), out=out)
+        np.multiply(2.0 * m * n / (m + n), out, out=out)
+        return np.divide(out, np.multiply(2.0 * mean1, mean_i, out=work), out=out)
+    # beta(beta-1) < 0 and a log-argument <= 0 keep the Renyi rate >= 0:
+    # ln l1 + ln li - ln(b li + (1-b) l1) - ln(b l1 + (1-b) li)
+    np.add(np.log(mean1), np.log(mean_i, out=out), out=out)
+    np.add(np.multiply(beta, mean_i, out=work), (1.0 - beta) * mean1, out=work)
+    np.subtract(out, np.log(work, out=work), out=out)
+    np.add(beta * mean1, np.multiply(1.0 - beta, mean_i, out=work), out=work)
+    np.subtract(out, np.log(work, out=work), out=out)
+    return np.multiply((2.0 * m * n / (m + n)) / (2.0 * beta * (beta - 1.0)), out, out=out)
 
 
 def statistic_array(kind, mean1, mean_i, m, n, looks, beta=0.5):
@@ -201,15 +212,33 @@ def renyi_stat_array(mean1, mean_i, m, n, looks, beta):
     return statistic_array("renyi", mean1, mean_i, m, n, looks, beta)
 
 
-def looks_threshold(cfg: TestConfig, mean1, mean_i, m, n):
-    """T with the cfg test passing exactly when the shared looks L < T: the
-    statistic reaches the critical value c at L = c / a, Hellinger's at
-    -ln(1 - c / (8mn/(m+n))) / a, and never where c >= 8mn/(m+n)."""
-    reach = chi2_critical(sidak_level(cfg.alpha, NUM_TESTS), cfg.dof)  # L a at c
+def threshold_reach(cfg: TestConfig, m, n) -> float:
+    """L a where the cfg statistic reaches the critical value c: c itself for
+    KL and Renyi, -ln(1 - c / (8mn/(m+n))) for Hellinger, and inf where
+    Hellinger's statistic never does, c >= 8mn/(m+n)."""
+    reach = chi2_critical(sidak_level(cfg.alpha, NUM_TESTS), cfg.dof)
     if cfg.kind == "hellinger":
         k = 8.0 * m * n / (m + n)
         reach = -math.log1p(-reach / k) if reach < k else math.inf
+    return reach
+
+
+def looks_threshold(cfg: TestConfig, mean1, mean_i, m, n, reach=None, out=None, work=None,
+                    mask=None):
+    """T with the cfg test passing exactly when the shared looks L < T: the
+    statistic reaches the critical value at L = reach / a, with reach given by
+    threshold_reach(cfg, m, n) unless passed in.  out and work (float) and mask
+    (bool), arrays of the broadcast shape given all three or none, take T and
+    the intermediates."""
+    if reach is None:
+        reach = threshold_reach(cfg, m, n)
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(mean1), np.shape(mean_i))
+        out, work, mask = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
     # a KL rate beyond the float range is +inf, a statistic above c at every L
     with np.errstate(divide="ignore", over="ignore"):
-        rate = _rate(cfg.kind, mean1, mean_i, m, n, cfg.renyi_order)
-        return np.where((mean1 == mean_i) | (rate <= 0.0), np.inf, reach / rate)
+        rate = _rate(cfg.kind, mean1, mean_i, m, n, cfg.renyi_order, work, out)
+        np.divide(reach, rate, out=out)
+    np.copyto(out, np.inf, where=np.equal(mean1, mean_i, out=mask))
+    np.copyto(out, np.inf, where=np.less_equal(rate, 0.0, out=mask))
+    return out

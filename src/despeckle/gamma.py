@@ -203,17 +203,47 @@ def solve_looks(rhs) -> np.ndarray:
     return out if np.ndim(rhs) else out[0]
 
 
-def looks_below(rhs, threshold) -> np.ndarray:
+# For L >= 1, 1/(2L) < ln L - digamma(L) < 1/L (H. Alzer, Math. Comp. 66
+# (1997) 373-389).  The computed gap strays from its true value by ~3.4e-11
+# relative at most, near L_MAX, where the bounds still leave >= 1.7e-5 of
+# room, so a relative margin of 1e-9 on each cut-off is safe.
+_SURELY_ABOVE_GAP = 1.0 + 1e-9
+_SURELY_BELOW_GAP = 0.5 * (1.0 - 1e-9)
+
+
+def looks_below(rhs, threshold, out=None, work=None, mask=None) -> np.ndarray:
     """solve_looks(rhs) < threshold, element-wise, without solving.
 
     Every solution lies in [1, L_MAX], so a threshold above L_MAX always holds
     and one at or below 1 never does.  In between, ln L - digamma(L) strictly
-    decreases, so the solution lies below the threshold exactly when rhs
-    exceeds the threshold's dispersion gap; the clamped rhs values obey the
-    same comparison.
+    decreases, so the solution lies below the threshold T exactly when rhs
+    exceeds T's dispersion gap; the clamped rhs values obey the same
+    comparison.  The gap lies between 1/(2T) and 1/T, so rhs T above 1 + 1e-9
+    holds and rhs T at or below (1 - 1e-9) / 2 does not: only the pairs in
+    between, and those whose product is nan, evaluate the gap.
+
+    out (bool), work (float) and mask (bool), arrays of the broadcast shape
+    given all three or none, take the result and the intermediates.
     """
-    gap = _dispersion_gap(np.clip(threshold, 1.0, L_MAX))
-    return (threshold > L_MAX) | ((threshold > 1.0) & (rhs > gap))
+    rhs, threshold = np.broadcast_arrays(rhs, threshold)
+    if out is None:
+        out, work, mask = np.empty(rhs.shape, bool), np.empty(rhs.shape), np.empty(rhs.shape, bool)
+    # rhs T is 0 inf at an infinite threshold, which the threshold rules
+    # settle, and a product that leaves the float range keeps its side of
+    # both cut-offs
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        product = np.multiply(rhs, threshold, out=work)
+    np.greater(product, _SURELY_ABOVE_GAP, out=out)
+    # neither above the one cut-off nor at or below the other: the band
+    band = np.flatnonzero(np.equal(np.less_equal(product, _SURELY_BELOW_GAP, out=mask), out,
+                                   out=mask))
+    np.logical_and(out, np.greater(threshold, 1.0, out=mask), out=out)
+    np.logical_or(out, np.greater(threshold, L_MAX, out=mask), out=out)
+    if band.size:
+        rhs, threshold = rhs.flat[band], threshold.flat[band]
+        gap = _dispersion_gap(np.clip(threshold, 1.0, L_MAX))
+        out.flat[band] = (threshold > L_MAX) | ((threshold > 1.0) & (rhs > gap))
+    return out
 
 
 def mle(values) -> FitResult:

@@ -43,25 +43,46 @@ def enl(values) -> float:
     return float((z.mean() / sd) ** 2)
 
 
-def _line_contrast_value(arr: np.ndarray, geom: PhantomGeometry) -> float:
-    row, c0, c1 = geom.hline
-    line = arr[row, c0:c1]
-    above = arr[row - 1, c0:c1]
-    below = arr[row + 1, c0:c1]
-    return float(2.0 * line.mean() - above.mean() - below.mean())
+def _in_range(*arrays):
+    """(arrays scaled, s): the arrays times the one power of two 2^s that
+    gamma.range_shift gives their maximum, so no sum or square of theirs
+    overflows or underflows.  Arrays in range come back as they are, s = 0."""
+    highest = max(a.max() for a in arrays)
+    s = int(range_shift(min(a.min() for a in arrays), highest, lambda: highest))
+    return [np.ldexp(a, s) if s else a for a in arrays], s
 
 
-def line_contrast(img: Raster, geom: PhantomGeometry, reference: Raster) -> float:
+def _scaled_back(value, shift):
+    """value times 2^-shift as a float, exact; None where a nonzero value would
+    leave the normal float range, by overflow or by losing low bits."""
+    if shift and value and not -1021 <= np.frexp(value)[1] - shift <= 1024:
+        return None
+    return float(np.ldexp(value, -shift))
+
+
+def _line_contrast_value(band: np.ndarray) -> float:
+    """Twice the mean of a 3-row band's middle row minus the means of the
+    rows above and below it."""
+    above, line, below = band
+    return 2.0 * line.mean() - above.mean() - below.mean()
+
+
+def line_contrast(img: Raster, geom: PhantomGeometry, reference: Raster):
     """|contrast(img) - contrast(reference)| for the horizontal line.
 
     Contrast is twice the line mean minus the means of the two adjacent
     rows.  Zero is perfect: the filtered line sticks out exactly as much
-    as the noiseless one.
+    as the noiseless one.  Both images' rows are taken at one common power
+    of two (_in_range) and the deviation is scaled back; one that would
+    leave the normal float range is None, which compute_report writes as NA.
     """
     _check_same_shape(img, reference)
     if geom.size != img.height or geom.size != img.width:
         raise InvalidArgumentError("geometry size does not match the image")
-    return abs(_line_contrast_value(img.array, geom) - _line_contrast_value(reference.array, geom))
+    row, c0, c1 = geom.hline
+    (band, ref_band), s = _in_range(*(arr[row - 1:row + 2, c0:c1]
+                                      for arr in (img.array, reference.array)))
+    return _scaled_back(abs(_line_contrast_value(band) - _line_contrast_value(ref_band)), s)
 
 
 def edge_measures(img: Raster, geom: PhantomGeometry, reference: Raster) -> tuple:
@@ -71,12 +92,11 @@ def edge_measures(img: Raster, geom: PhantomGeometry, reference: Raster) -> tupl
     same with unbiased variances; both are reported as absolute deviations
     from the reference values, so smallest is best.
 
-    The four strips (both bands of both images) are taken at the one power of
-    two 2^s that gamma.range_shift gives their maximum, so no sum or square
-    overflows or underflows; the gradient is scaled back by 2^-s and the
+    The four strips (both bands of both images) are taken at one common power
+    of two 2^s (_in_range); the gradient is scaled back by 2^-s and the
     variance by 2^-2s, which is exact, and in-range images are not scaled.  A
-    nonzero variance deviation that 2^-2s would carry out of the normal float
-    range is None, which compute_report writes as NA.
+    variance deviation that 2^-2s would carry out of the normal float range
+    is None, which compute_report writes as NA.
     """
     _check_same_shape(img, reference)
     outside, inside = geom.edge_strips()
@@ -84,18 +104,11 @@ def edge_measures(img: Raster, geom: PhantomGeometry, reference: Raster) -> tupl
               for band in (outside, inside)]
     if strips[0].size < 2 or strips[1].size < 2:
         raise DegenerateRegionError("edge strips need at least 2 pixels each")
-    highest = max(strip.max() for strip in strips)
-    s = int(range_shift(min(strip.min() for strip in strips), highest, lambda: highest))
-    if s:
-        strips = [np.ldexp(strip, s) for strip in strips]
-    a, b, ref_a, ref_b = strips
+    (a, b, ref_a, ref_b), s = _in_range(*strips)
     g_img, v_img = abs(a.mean() - b.mean()), abs(a.var(ddof=1) - b.var(ddof=1))
     g_ref, v_ref = abs(ref_a.mean() - ref_b.mean()), abs(ref_a.var(ddof=1) - ref_b.var(ddof=1))
     gradient = float(np.ldexp(abs(g_img - g_ref), -s))
-    variance = abs(v_img - v_ref)
-    if s and variance and not -1021 <= np.frexp(variance)[1] - 2 * s <= 1024:
-        return gradient, None  # 2^-2s would overflow it or lose its low bits
-    return gradient, float(np.ldexp(variance, -2 * s))
+    return gradient, _scaled_back(abs(v_img - v_ref), 2 * s)
 
 
 def _q_window_values(x: np.ndarray, y: np.ndarray):
@@ -205,16 +218,20 @@ def laplacian_correlation(x: Raster, y: Raster) -> float:
     An edge-fidelity measure: 1 means the test image's edge structure
     matches the reference exactly (affine intensity changes included).
 
-    Each centred Laplacian is scaled by the power of two that puts its
-    largest magnitude in [1, 2) before the sums, so intensities of any
-    magnitude neither overflow nor underflow; the scaling is exact, so it
-    changes no bit of the correlation of in-range images.
+    Each image is first brought into range (_in_range), and each centred
+    Laplacian is scaled by the power of two that puts its largest magnitude
+    in [1, 2) before the sums, so intensities of any magnitude neither
+    overflow nor underflow; the scaling is exact, so it changes no bit of the
+    correlation of in-range images.
     """
     _check_same_shape(x, y)
     if x.height < 3 or x.width < 3:
         raise InvalidArgumentError("images must be at least 3x3")
-    lx = _laplacian(x.array).ravel()
-    ly = _laplacian(y.array).ravel()
+    # each image at its own power of two, which the correlation does not see
+    (xa,), _ = _in_range(x.array)
+    (ya,), _ = _in_range(y.array)
+    lx = _laplacian(xa).ravel()
+    ly = _laplacian(ya).ravel()
     dx = _unit_scaled(lx - lx.mean())
     dy = _unit_scaled(ly - ly.mean())
     denom = np.sqrt((dx**2).sum() * (dy**2).sum())

@@ -41,6 +41,7 @@ from .divergence import (
     kl_stat_array,
     looks_threshold,
     renyi_stat_array,
+    threshold_reach,
 )
 from .errors import InvalidArgumentError, OutOfBoundsError
 from .gamma import looks_below, range_shift, shift_zeros, solve_looks
@@ -186,10 +187,14 @@ class FilterSpec:
 # output's frozen digests were made.
 #
 # A region passes exactly when its fitted shared looks stay below the looks
-# threshold at which its statistic reaches the chi-square critical value
-# (divergence.looks_threshold).  gamma.looks_below settles that from the
-# dispersion rhs with one digamma per (centre, region), so no test solves for
-# the looks or computes its statistic or p-value.
+# threshold T at which its statistic reaches the chi-square critical value
+# (divergence.looks_threshold, from a threshold_reach computed once per
+# filter_image).  gamma.looks_below settles that from the dispersion rhs: most
+# pairs from rhs T alone, by bounds on the dispersion gap, and only the ~5 %
+# between its cut-offs with a digamma, so no test solves for the looks or
+# computes its statistic or p-value.  Every step of the tests and the pooling
+# writes into the worker's buffers, so a block allocates no (8, centres)
+# array.
 
 # Centres per engine call.  On a 64x256 strip (2-vCPU Xeon, two runs of 81
 # interleaved filter_image calls after perfbench's warm-up commands) one
@@ -201,7 +206,8 @@ BLOCK_PIXELS = 2048
 
 
 def _plan(spec: FilterSpec):
-    """The central gather, the (8, n) oriented gathers, the cells x 9 indicator."""
+    """The central gather, the (8, n) oriented gathers, the cells x 9 indicator
+    and the tests' threshold_reach."""
     half = spec.window // 2
     cells = [(r, c) for r in range(-half, half + 1) for c in range(-half, half + 1)]
     index = {off: i for i, off in enumerate(cells)}
@@ -210,23 +216,29 @@ def _plan(spec: FilterSpec):
     indicators = np.zeros((len(cells), 9))
     for i, g in enumerate([central, *gathers]):
         indicators[g, i] = 1.0
-    return central, gathers, indicators
+    return central, gathers, indicators, threshold_reach(spec.test, central.size, gathers.shape[1])
 
 
 class _Buffers:
     """One worker's arrays, reused across its blocks.  A block of c centres
     views the first rows * c values of a part as (rows, c): "win" holds the
-    windows, "log" the logs the tests see and then the covered cells, and
-    "gather" each gather of rows in turn.  The parts share one allocation:
-    once freed it raises glibc's dynamic mmap threshold above its size, so
-    later calls take it from the heap instead of faulting in fresh pages."""
+    windows, "log" the logs the tests see and then the covered cells,
+    "gather" each gather of rows in turn, "tests" four (8, c) arrays of the
+    region tests, "accepted" the (9, c) acceptance, "row" the (c,) sums and
+    means of the tests and of the output, and "mask" the bool masks.  The
+    float parts share one allocation: once freed it raises glibc's dynamic
+    mmap threshold above its size, so later calls take it from the heap
+    instead of faulting in fresh pages."""
 
     def __init__(self, plan, centres: int):
-        _, gathers, indicators = plan
-        rows = {"win": len(indicators), "log": len(indicators), "gather": gathers.size}
+        _, gathers, indicators, _ = plan
+        cells = len(indicators)
+        rows = {"win": cells, "log": cells, "gather": gathers.size, "tests": 4 * 8,
+                "accepted": 9, "row": 8}
         flat = np.empty(sum(rows.values()) * centres)
         ends = np.cumsum(list(rows.values()))[:-1] * centres
         self._parts = dict(zip(rows, np.split(flat, ends)))
+        self._parts["mask"] = np.empty(2 * 8 * centres, dtype=bool)
 
     def get(self, name: str, *shape) -> np.ndarray:
         return self._parts[name][:np.prod(shape)].reshape(shape)
@@ -238,41 +250,51 @@ def _gather(a: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.take(a, index, axis=0, out=out, mode="clip")
 
 
-def _region_tests(z, logz, cfg: TestConfig, central, gathers, buffers: _Buffers):
+def _region_tests(z, logz, cfg: TestConfig, reach, central, gathers, buffers: _Buffers):
     """All eight region tests of every centre in one stacked pass.
 
     z holds the (cells, centres) window values the tests see, zeros already
-    shifted, and logz their logs.  Returns the central block's dispersion
-    rhs, (centres,), and the (9, centres) acceptance of region 1 (always) and
-    the oriented regions.  Every region sum runs over its cells left to right.
+    shifted, and logz their logs; reach is threshold_reach(cfg, ...).  Returns
+    the central block's dispersion rhs, (centres,), and the (9, centres) float
+    acceptance, 1 or 0, of region 1 (always) and the oriented regions, both
+    views of buffers.  Every region sum runs over its cells left to right.
     """
     m1, ni = central.size, gathers.shape[1]
     count = z.shape[1]
     at_central = buffers.get("gather", m1, count)
     at_regions = buffers.get("gather", 8, ni, count)
-    sum1 = _gather(z, central, at_central).sum(axis=0)
-    logsum1 = _gather(logz, central, at_central).sum(axis=0)
-    mean1 = sum1 / m1
-    rhs1 = np.log(mean1) - logsum1 / m1
+    sum1, logsum1, mean1, rhs1, scaled = buffers.get("row", 8, count)[:5]
     # (8, centres): one row per oriented region
-    sum_i = _gather(z, gathers, at_regions).sum(axis=1)
+    sum_i, work, rhs, threshold = buffers.get("tests", 4, 8, count)
+    mask, scratch = buffers.get("mask", 2, 8, count)
+    np.sum(_gather(z, central, at_central), axis=0, out=sum1)
+    np.sum(_gather(logz, central, at_central), axis=0, out=logsum1)
+    np.divide(sum1, m1, out=mean1)
+    # ln(mean1) - logsum1 / m1
+    np.subtract(np.log(mean1, out=rhs1), np.divide(logsum1, m1, out=scaled), out=rhs1)
+    np.sum(_gather(z, gathers, at_regions), axis=1, out=sum_i)
     if cfg.shared_looks == "pooled":
-        logsum_i = _gather(logz, gathers, at_regions).sum(axis=1)
-        pooled_mean = (sum1 + sum_i) / (m1 + ni)
-        rhs = np.log(pooled_mean) - (logsum1 + logsum_i) / (m1 + ni)
+        # ln((sum1 + sum_i) / (m1 + ni)) - (logsum1 + logsum_i) / (m1 + ni)
+        logsum_i = np.sum(_gather(logz, gathers, at_regions), axis=1, out=work)
+        np.log(np.divide(np.add(sum1, sum_i, out=rhs), m1 + ni, out=rhs), out=rhs)
+        np.divide(np.add(logsum1, logsum_i, out=logsum_i), m1 + ni, out=logsum_i)
+        np.subtract(rhs, logsum_i, out=rhs)
     else:
         rhs = rhs1
-    threshold = looks_threshold(cfg, mean1, sum_i / ni, m1, ni)
-    accepted = np.ones((9, count), dtype=bool)
-    accepted[1:] = looks_below(rhs, threshold)
+    mean_i = np.divide(sum_i, ni, out=sum_i)
+    looks_threshold(cfg, mean1, mean_i, m1, ni, reach, out=threshold, work=work, mask=mask)
+    accepted = buffers.get("accepted", 9, count)
+    accepted[0] = 1.0
+    np.copyto(accepted[1:], looks_below(rhs, threshold, out=mask, work=work, mask=scratch))
     return rhs1, accepted
 
 
 def _filter_block(padded: np.ndarray, first: int, last: int, spec: FilterSpec, plan,
                   buffers: _Buffers) -> np.ndarray:
     """Filter the image rows first .. last - 1 of a padded image: test the
-    regions of every centre and average the cells they cover, row-major."""
-    central, gathers, indicators = plan
+    regions of every centre and average the cells they cover, row-major.  The
+    result is a view of buffers, valid until their next block."""
+    central, gathers, indicators, reach = plan
     size = spec.window
     cells, width = indicators.shape[0], padded.shape[1] - size + 1
     count = (last - first) * width
@@ -280,21 +302,29 @@ def _filter_block(padded: np.ndarray, first: int, last: int, spec: FilterSpec, p
     windows = sliding_window_view(padded[first:last + size - 1], (size, size))
     np.copyto(win, windows.transpose(2, 3, 0, 1))
     win = win.reshape(cells, count)
-    shift = range_shift(win.min(), win.max(), lambda: win.max(axis=0))
+    lowest = win.min()
+    shift = range_shift(lowest, win.max(), lambda: win.max(axis=0))
     if np.any(shift):
         np.ldexp(win, shift, out=win)
-    z = shift_zeros(win.T).T
+        lowest = win.min()  # a value far below its window's maximum may reach 0
+    # intensities are >= 0, so only a block whose lowest value is 0 has zeros
+    z = shift_zeros(win.T).T if lowest == 0.0 else win
     logz = np.log(z, out=buffers.get("log", cells, count))
-    rhs1, accepted = _region_tests(z, logz, spec.test, central, gathers, buffers)
+    rhs1, accepted = _region_tests(z, logz, spec.test, reach, central, gathers, buffers)
 
-    # the output averages the raw cells, zeros included
-    covered = np.matmul(indicators, accepted, out=logz) > 0
+    # the output averages the raw cells, zeros included: covered is 1 on a
+    # cell of an accepted region and 0 elsewhere, and its products overwrite it
+    pooled, central_mean, used = buffers.get("row", 8, count)[5:]
+    covered = np.minimum(np.matmul(indicators, accepted, out=logz), 1.0, out=logz)
+    np.sum(covered, axis=0, out=used)
     product = np.multiply(win, covered, out=logz)
-    pooled = sum_rows(product, buffers.get("gather", 8, count)) / covered.sum(axis=0)
+    np.divide(sum_rows(product, buffers.get("gather", 8, count)), used, out=pooled)
     # a constant central block short-circuits to its own mean, tests skipped
-    central_mean = _gather(win, central, buffers.get("gather", central.size, count)).sum(axis=0)
-    out = np.where(rhs1 <= 0.0, central_mean / central.size, pooled)
-    return np.ldexp(out, -shift)
+    at_central = _gather(win, central, buffers.get("gather", central.size, count))
+    np.divide(np.sum(at_central, axis=0, out=central_mean), central.size, out=central_mean)
+    constant = np.less_equal(rhs1, 0.0, out=buffers.get("mask", count))
+    np.copyto(pooled, central_mean, where=constant)
+    return np.ldexp(pooled, -shift, out=pooled) if np.any(shift) else pooled
 
 
 def filter_pixel(padded: Raster, center: tuple, spec: FilterSpec) -> float:
@@ -317,7 +347,8 @@ def filter_image(img: Raster, spec: FilterSpec, threads: int = 1) -> Raster:
     The engine runs on blocks of whole rows, about BLOCK_PIXELS centres
     each.  Blocks are independent: each of `threads` workers takes every
     threads-th block into arrays it reuses, so the result is identical for
-    any thread count.
+    any thread count.  One worker runs in the caller's thread, more on a
+    thread pool.
     """
     if img.width < spec.window or img.height < spec.window:
         raise InvalidArgumentError(
@@ -338,6 +369,9 @@ def filter_image(img: Raster, spec: FilterSpec, threads: int = 1) -> Raster:
                 last - first, img.width
             )
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, range(workers)))
+    if workers == 1:
+        work(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, range(workers)))
     return Raster(out)

@@ -78,9 +78,10 @@ class RowSum:
         if not self._body:
             r[0] = 0.0
             return
-        r[0:8:2] += r[1:8:2]
-        r[0:8:4] += r[2:8:4]
-        r[0] += r[4]
+        # row by row: a strided view of r added to another copies it first
+        for step in (1, 2, 4):
+            for k in range(0, 8, 2 * step):
+                r[k] += r[k + step]
 
 
 def sum_rows(rows, acc) -> np.ndarray:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from despeckle import (
@@ -16,7 +18,13 @@ from despeckle import (
     sample,
     unit_speckle,
 )
-from despeckle.gamma import ZERO_SHIFT, looks_below, shift_zeros, solve_looks
+from despeckle.gamma import (
+    ZERO_SHIFT,
+    _dispersion_gap,
+    looks_below,
+    shift_zeros,
+    solve_looks,
+)
 
 
 def stream(*key):
@@ -282,3 +290,57 @@ def test_looks_below_equals_solving():
     for threshold in (1.0, np.nextafter(1.0, 2), L_MAX, np.nextafter(L_MAX, np.inf), np.inf):
         assert np.array_equal(looks_below(edge, threshold), solve_looks(edge) < threshold)
     assert looks_below(rhs[:3].reshape(3, 1), np.full((3, 4), 5.0)).shape == (3, 4)
+
+
+# thresholds at and next to the rules' edges: at or below 1, near 1, at and
+# next to L_MAX, beyond it, infinite and nan
+EDGE_THRESHOLDS = (-1.0, 0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-9, L_MAX,
+                   np.nextafter(L_MAX, 0.0), np.nextafter(L_MAX, np.inf), 2.0 * L_MAX,
+                   np.inf, np.nan)
+# the screen's cut-offs on rhs T
+CUTOFFS = (1.0 + 1e-9, 1.0 - 1e-9, 0.5 * (1.0 + 1e-9), 0.5 * (1.0 - 1e-9))
+
+
+@st.composite
+def screen_pairs(draw):
+    """(rhs, T): rhs on a cut-off over T, on T's gap or one ulp off either,
+    inside the band, 0, negative, nan or infinite, or any rhs, against an
+    edge or an ordinary threshold."""
+    threshold = draw(st.one_of(
+        st.sampled_from(EDGE_THRESHOLDS),
+        st.floats(1.0, 1.0 + 1e-6),
+        st.floats(1.0, L_MAX),
+        st.floats(L_MAX * (1.0 - 1e-9), L_MAX * (1.0 + 1e-9)),
+    ))
+    kind = draw(st.sampled_from(["cutoff", "gap", "band", "special", "any"]))
+    if kind == "special":
+        return draw(st.sampled_from([0.0, -0.0, -1e-300, -1.0, np.nan, np.inf, -np.inf])), threshold
+    if kind == "any":
+        return draw(st.floats(allow_nan=True, allow_infinity=True)), threshold
+    with np.errstate(all="ignore"):
+        if kind == "cutoff":
+            rhs = np.divide(draw(st.sampled_from(CUTOFFS)), threshold)
+        elif kind == "gap":
+            rhs = _dispersion_gap(np.clip(threshold, 1.0, L_MAX))
+        else:
+            rhs = np.divide(draw(st.floats(0.5, 1.0)), threshold)
+    return np.nextafter(rhs, draw(st.sampled_from([-np.inf, rhs, np.inf]))), threshold
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs=st.lists(screen_pairs(), min_size=1, max_size=40))
+def test_looks_below_screen_equals_the_gap_comparison(pairs):
+    # the screen settles most pairs from rhs T alone; every decision must be
+    # that of comparing rhs with the dispersion gap of the clipped threshold
+    rhs, threshold = (np.array(v) for v in zip(*pairs))
+    with np.errstate(all="raise"):
+        got = looks_below(rhs, threshold)
+        gap = _dispersion_gap(np.clip(threshold, 1.0, L_MAX))
+        want = (threshold > L_MAX) | ((threshold > 1.0) & (rhs > gap))
+        assert np.array_equal(got, want)
+        # the engine's form, with every array passed in, and a broadcast rhs
+        out, work, mask = np.empty(rhs.shape, bool), np.empty(rhs.shape), np.empty(rhs.shape, bool)
+        assert looks_below(rhs, threshold, out, work, mask) is out
+        assert np.array_equal(out, want)
+        rows = looks_below(rhs[:, None], np.stack([threshold, threshold[::-1]], axis=1))
+        assert np.array_equal(rows[:, 0], want)

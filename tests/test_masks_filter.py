@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from despeckle.divergence import (
     kl_stat_array,
     renyi_stat_array,
     sidak_level,
+    threshold_reach,
 )
 from despeckle.gamma import solve_looks
 from despeckle.harness import SITUATIONS, corrupt, make_phantom, replicate_stream
@@ -286,6 +288,18 @@ FILTER_DIGESTS = {
     ("renyi", 5, "zeros"): "8ca2a61cdd62b9d7212b20eb4cfdc3e4cb43ced321e2e3bd56e4b0ccecb429b1",
     ("hellinger", 7, "zeros-sample1-dof2"):
         "4c43a1bbb9010d40e602929dc4293324dc5e8c10ab02404876b0ebadff850fff",
+    # Frozen from the engine that evaluated the dispersion gap of every test.
+    # Each holds thresholds at or below 1, above L_MAX and in the screen's
+    # band (gamma.looks_below) at another level or order, or at 2^600 and
+    # 2^-600, where the range rule scales every window.
+    ("hellinger", 5, "alpha01"):
+        "82d99dff8f78468904bca9d5d26dcb24d728972ec80492e884df516a974c84c8",
+    ("kl", 7, "alpha01"): "229d55d4a038a4acc45f804cc01ab1198d989c6b379d8f988cc7c5d6e63c657e",
+    ("renyi", 7, "order09"):
+        "f1786d7032e4923fe34ad748ba6327695231b1d519632f944143e6c53a972604",
+    ("hellinger", 5, "up600"): "0b77d9236e700c7067f5a24c8039261dbc4ead734bd7c141e4c5b45afe7ccdc8",
+    ("hellinger", 5, "down600"):
+        "760e6db7173baaa611fa8a034cef6621f1fd18d4e3ac0a20c263f3f081a4c985",
 }
 
 
@@ -320,10 +334,15 @@ def test_filter_output_matches_frozen_digest(kind, window, variant):
     else:
         img = situation_strip()
         assert img.shape == (32, 128) and img.array.min() > 0  # zero-free
+    # up600 and down600 scale the strip by 2^600 and 2^-600
+    scale = {"up600": 600, "down600": -600}.get(variant, 0)
+    img = Raster(np.ldexp(img.array, scale))
     cfg = TestConfig(
         kind=kind,
         shared_looks="sample1" if "sample1" in variant else "pooled",
         dof=2 if "dof2" in variant else 1,
+        alpha=0.01 if "alpha01" in variant else 0.2,
+        renyi_order=0.9 if "order09" in variant else 0.5,
     )
     out = filter_image(img, FilterSpec(window=window, test=cfg))
     assert hashlib.sha256(out.array.tobytes()).hexdigest() == FILTER_DIGESTS[kind, window, variant]
@@ -392,7 +411,7 @@ def test_region_decisions_equal_the_solved_tests(window):
     rng = stream(108, window)
     spec = FilterSpec(window=window)
     plan = nmfilter._plan(spec)
-    central, gathers, _ = plan
+    central, gathers, _, _ = plan
     buffers = nmfilter._Buffers(plan, 2200)
     for kind in KINDS:
         for dof in (1, 2):
@@ -400,11 +419,34 @@ def test_region_decisions_equal_the_solved_tests(window):
                 cfg = TestConfig(kind=kind, dof=dof, shared_looks=shared_looks)
                 w = gamma_windows(rng, 2200, window * window)
                 z = np.ascontiguousarray(w.T)  # the engine's (cells, centres) layout
-                _, accepted = nmfilter._region_tests(z, np.log(z), cfg, central, gathers, buffers)
+                reach = threshold_reach(cfg, central.size, gathers.shape[1])
+                _, accepted = nmfilter._region_tests(z, np.log(z), cfg, reach, central, gathers,
+                                                     buffers)
                 want = _solved_decisions(w, cfg, central, gathers)
                 assert np.array_equal(accepted[1:].T, want), (kind, dof, shared_looks)
                 assert accepted[0].all()
                 assert want.any() and not want.all()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("window", [5, 7])
+def test_warm_block_allocates_no_region_arrays(window, kind):
+    # a block on a worker's warm arrays keeps every (8, centres) step in them:
+    # its peak allocation stays below three such float arrays (384 KiB at
+    # 2,048 centres), where an engine that allocated its steps took ~1.2 MiB
+    spec = FilterSpec(window=window, test=TestConfig(kind=kind))
+    plan = nmfilter._plan(spec)
+    padded = pad_mirror(situation_strip(), window // 2).array
+    rows = BLOCK_PIXELS // 128
+    buffers = nmfilter._Buffers(plan, BLOCK_PIXELS)
+    nmfilter._filter_block(padded, 0, rows, spec, plan, buffers)
+    tracemalloc.start()
+    try:
+        nmfilter._filter_block(padded, rows, 2 * rows, spec, plan, buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * BLOCK_PIXELS * 8
 
 
 @pytest.mark.parametrize("window", [5, 7])
@@ -466,6 +508,21 @@ def test_filter_takes_windows_spanning_the_float_range(kind, window):
     assert np.array_equal(out[far], filter_image(Raster(floor), spec).array[far])
     padded = pad_mirror(img, half)
     assert filter_pixel(padded, (6 + half, 7 + half), spec) == out[6, 7]
+
+
+@pytest.mark.parametrize("window", [5, 7])
+def test_scaling_that_carries_a_value_to_zero_shifts_it(window):
+    # beside 1e308 the range rule's 2^-524 carries 1e-300 and 3e-310 to 0:
+    # the tests see those cells as shifted zeros, without a warning, just as
+    # if the raster held 0 there
+    arr = np.full((9, 9), 1e308)
+    arr[4, 4], arr[2, 6] = 1e-300, 3e-310
+    zeroed = arr.copy()
+    zeroed[4, 4] = zeroed[2, 6] = 0.0
+    spec = FilterSpec(window=window)
+    out = filter_image(Raster(arr), spec).array
+    assert np.array_equal(out, filter_image(Raster(zeroed), spec).array)
+    assert np.all(np.isfinite(out) & (out >= 0.8e308))
 
 
 @settings(max_examples=60, deadline=None)

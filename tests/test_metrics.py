@@ -414,6 +414,37 @@ def test_compute_report_is_exact_under_a_power_of_two(situation, replicate, lee,
         assert scaled.edge_variance is None
 
 
+def test_compute_report_near_the_float_maximum():
+    # the seed-0 situation-2 pair scaled so its brightest pixel is 1e308, and
+    # by the power of two that puts it in [2^1022, 2^1023): no sum of the line
+    # rows or the Laplacian overflows, nothing warns, and at the power of two
+    # the scale-free columns keep their bits and the covariant ones scale
+    geom = default_geometry(64)
+    sit = SITUATIONS[2]
+    clean = make_phantom(geom, sit)
+    test = corrupt(clean, sit, replicate_stream(0, 2, 0))
+    top = max(clean.array.max(), test.array.max())
+    k = 1023 - np.frexp(top)[1]
+    base = compute_report(clean, test, geom)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        near = compute_report(Raster(clean.array * (1e308 / top)),
+                              Raster(test.array * (1e308 / top)), geom)
+        scaled = compute_report(Raster(np.ldexp(clean.array, k)),
+                                Raster(np.ldexp(test.array, k)), geom)
+    for report in (near, scaled):
+        row = report.as_csv_row().split(",")
+        assert "nan" not in row and "inf" not in row
+        assert row.count("NA") == 1 and report.edge_variance is None  # ~7e3 times 2^2k
+        assert report.beta_rho == pytest.approx(base.beta_rho, rel=1e-12)
+    assert near.line_contrast_error == pytest.approx(base.line_contrast_error * (1e308 / top),
+                                                     rel=1e-9)
+    for name in SCALE_FREE:
+        assert same_bits(getattr(scaled, name), getattr(base, name)), name
+    assert scaled.line_contrast_error == np.ldexp(base.line_contrast_error, k)
+    assert scaled.edge_gradient == np.ldexp(base.edge_gradient, k)
+
+
 # ------------------------------------------------- filtering improves Q
 
 
