@@ -9,6 +9,7 @@ DESPECKLE_SEED environment variable when set.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -31,7 +32,10 @@ from .phantom import default_geometry, read_geometry
 from .raster import FORMATS, read_raster, write_raster
 
 
-def _default_seed() -> int:
+def _seed(flag: int | None = None) -> int:
+    """The --seed value, or DESPECKLE_SEED's (default 0) when the flag is not given."""
+    if flag is not None:
+        return flag
     text = os.environ.get("DESPECKLE_SEED", "0")
     try:
         return int(text)
@@ -78,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--situation", type=int, choices=sorted(SITUATIONS), default=1,
                    help="situation whose look count drives the speckle")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, help="default: DESPECKLE_SEED, else 0")
     p.add_argument("--replicate", type=int, default=0,
                    help="replicate index of the RNG stream (default 0)")
     p.add_argument("--out", required=True)
@@ -117,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan = RunPlan()
     p = sub.add_parser("montecarlo", help="run the simulation protocol, write a CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, help="default: DESPECKLE_SEED, else 0")
     p.add_argument("--fast", action="store_true", help="64x64 phantom, 20 replicates")
     p.add_argument("--size", type=int, choices=(64, 128))
     p.add_argument("--replicates", type=int)
@@ -153,7 +157,7 @@ def cmd_phantom(args) -> int:
 def cmd_corrupt(args) -> int:
     img = read_raster(args.infile, args.format)
     sit = SITUATIONS[args.situation]
-    stream = replicate_stream(args.seed, sit.id, args.replicate)
+    stream = replicate_stream(_seed(args.seed), sit.id, args.replicate)
     write_raster(corrupt(img, sit, stream), args.out, args.format)
     return 0
 
@@ -207,7 +211,7 @@ def _parse_montecarlo_plan(args) -> RunPlan:
         situations=situations,
         filters=tuple(filters),
         levels=levels,
-        master_seed=args.seed,
+        master_seed=_seed(args.seed),
         dof=args.dof,
         shared_looks=args.shared,
         renyi_order=args.beta,
@@ -236,14 +240,14 @@ def cmd_masks(args) -> int:
     return 0
 
 
+_parser = functools.cache(build_parser)  # built once per process: it takes ~2 ms
+
+
 def main(argv=None) -> int:
-    try:
-        parser = build_parser()
-    except InvalidArgumentError as exc:  # a bad DESPECKLE_SEED, like a bad --seed
-        print(f"despeckle: {exc}", file=sys.stderr)
-        return 2
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
+        _seed()  # a bad DESPECKLE_SEED fails every subcommand, like a bad --seed
         return args.func(args)
     except (FileNotFoundError, InvalidArgumentError) as exc:
         # bad flag values and missing inputs are usage errors, like argparse's own

@@ -156,16 +156,12 @@ def _replicate_rows(plan, geom, phantoms, task):
     corrupted = corrupt(phantom, sit, replicate_stream(plan.master_seed, sid, rep))
     rows = []
     for kind, window in plan.filters:
-        level_dependent = kind in KINDS
-        cached = None
+        # only the region tests depend on the level; the others share one report
+        report = None
         for level in plan.levels:
-            if level_dependent or cached is None:
+            if report is None or kind in KINDS:
                 filtered = _apply_filter(kind, window, corrupted, sit, level, plan)
-                if not level_dependent:
-                    cached = filtered
-            else:
-                filtered = cached
-            report = compute_report(phantom, filtered, geom)
+                report = compute_report(phantom, filtered, geom)
             rows.append(
                 {
                     "filter": kind,

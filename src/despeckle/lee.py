@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .gamma import range_shift
 from .raster import Raster, pad_mirror
-from .windows import window_max, window_moments
+from .windows import ROW_SUM_MAX, window_max, window_moments
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,8 @@ class LeeSpec:
     def __post_init__(self):
         if self.window % 2 == 0 or self.window < 3:
             raise InvalidArgumentError("window must be odd and >= 3")
+        if self.window**2 > ROW_SUM_MAX:
+            raise InvalidArgumentError(f"window must have at most {ROW_SUM_MAX} cells")
         if not np.isfinite(self.nominal_looks) or self.nominal_looks < 1.0:
             raise InvalidArgumentError("nominal_looks must be finite and >= 1")
 

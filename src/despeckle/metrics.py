@@ -77,8 +77,7 @@ def line_contrast(img: Raster, geom: PhantomGeometry, reference: Raster):
     leave the normal float range is None, which compute_report writes as NA.
     """
     _check_same_shape(img, reference)
-    if geom.size != img.height or geom.size != img.width:
-        raise InvalidArgumentError("geometry size does not match the image")
+    _check_geometry(img, geom)
     row, c0, c1 = geom.hline
     (band, ref_band), s = _in_range(*(arr[row - 1:row + 2, c0:c1]
                                       for arr in (img.array, reference.array)))
@@ -99,6 +98,7 @@ def edge_measures(img: Raster, geom: PhantomGeometry, reference: Raster) -> tupl
     is None, which compute_report writes as NA.
     """
     _check_same_shape(img, reference)
+    _check_geometry(img, geom)
     outside, inside = geom.edge_strips()
     strips = [arr[band].ravel() for arr in (img.array, reference.array)
               for band in (outside, inside)]
@@ -270,6 +270,11 @@ def _check_same_shape(x: Raster, y: Raster):
         raise InvalidArgumentError(f"shape mismatch: {x.shape} vs {y.shape}")
 
 
+def _check_geometry(img: Raster, geom: PhantomGeometry):
+    if img.shape != (geom.size, geom.size):
+        raise InvalidArgumentError(f"geometry size {geom.size} does not match image {img.shape}")
+
+
 # ---------------------------------------------------------------------------
 # bundled report
 
@@ -309,7 +314,8 @@ def compute_report(
 
     With a geometry, ENL is taken over the designated background region of
     the test image and the line/edge deviations are computed; without one,
-    ENL falls back to the whole image and those three fields stay None.
+    ENL falls back to the whole image and those three fields stay None.  A
+    geometry of another size than the images raises InvalidArgumentError.
     """
     _check_same_shape(reference, test)
 
@@ -323,6 +329,7 @@ def compute_report(
     if geom is None:
         enl_value = attempt(lambda: enl(test.array))
     else:
+        _check_geometry(test, geom)
         enl_value = attempt(lambda: enl(test.array[geom.background_slices()]))
         line = attempt(lambda: line_contrast(test, geom, reference))
         gradient, variance = attempt(lambda: edge_measures(test, geom, reference), 2)

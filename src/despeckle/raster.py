@@ -133,11 +133,11 @@ def write_raster(img: Raster, path, fmt: str) -> None:
 def read_raster(path, fmt: str) -> Raster:
     if fmt not in FORMATS:
         raise InvalidArgumentError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    if fmt == "ascii":
-        return _read_ascii(path)
-    if fmt == "raw":
-        return _read_raw(path)
-    return _read_pgm(path)
+    arr = {"ascii": _read_ascii, "raw": _read_raw, "pgm": _read_pgm}[fmt](path)
+    try:
+        return Raster(arr)
+    except InvalidArgumentError as exc:  # values a raster may not hold: a bad file
+        raise FormatError(str(exc)) from exc
 
 
 def _write_ascii(img: Raster, path) -> None:
@@ -148,7 +148,7 @@ def _write_ascii(img: Raster, path) -> None:
             fh.write("\n")
 
 
-def _read_ascii(path) -> Raster:
+def _read_ascii(path) -> np.ndarray:
     # a byte that is not UTF-8 decodes to U+FFFD, which no number contains
     with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().split()
@@ -174,10 +174,7 @@ def _read_ascii(path) -> Raster:
                 rows.append([float(p) for p in parts])
             except ValueError as exc:
                 raise FormatError(f"ascii raster: bad value in row {i}") from exc
-    try:
-        return Raster(rows)
-    except InvalidArgumentError as exc:
-        raise FormatError(str(exc)) from exc
+    return np.array(rows)
 
 
 def _write_raw(img: Raster, path) -> None:
@@ -187,7 +184,7 @@ def _write_raw(img: Raster, path) -> None:
         fh.write(img.array.astype("<f8").tobytes())
 
 
-def _read_raw(path) -> Raster:
+def _read_raw(path) -> np.ndarray:
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:4] != RAW_MAGIC:
@@ -201,11 +198,7 @@ def _read_raw(path) -> Raster:
         if os.fstat(fh.fileno()).st_size < 16 + 8 * width * height:
             raise FormatError("raw raster: truncated pixel data")
         payload = fh.read(8 * width * height)
-        arr = np.frombuffer(payload, dtype="<f8").reshape(height, width)
-    try:
-        return Raster(arr)
-    except InvalidArgumentError as exc:
-        raise FormatError(str(exc)) from exc
+        return np.frombuffer(payload, dtype="<f8").reshape(height, width)
 
 
 def _write_pgm(img: Raster, path) -> None:
@@ -221,7 +214,7 @@ def _write_pgm(img: Raster, path) -> None:
         fh.write(quant.tobytes())
 
 
-def _read_pgm(path) -> Raster:
+def _read_pgm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
     tokens = []
@@ -252,8 +245,4 @@ def _read_pgm(path) -> Raster:
     payload = blob[pos : pos + 2 * width * height]
     if len(payload) != 2 * width * height:
         raise FormatError("pgm raster: truncated pixel data")
-    arr = np.frombuffer(payload, dtype=">u2").astype(np.float64).reshape(height, width)
-    try:
-        return Raster(arr)
-    except InvalidArgumentError as exc:
-        raise FormatError(str(exc)) from exc
+    return np.frombuffer(payload, dtype=">u2").astype(np.float64).reshape(height, width)

@@ -170,6 +170,15 @@ def test_evaluate_with_geometry_file(tmp_path, noisy_pair, capsys):
     assert lines[2].split(",")[1] != "NA"  # line contrast computed
 
 
+def test_evaluate_rejects_a_geometry_of_another_size(noisy_pair, capsys):
+    ph, noisy = noisy_pair  # 64x64 images
+    assert run("evaluate", "--ref", str(ph), "--test", str(noisy),
+               "--geometry-size", "128") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "geometry size 128" in captured.err and "Traceback" not in captured.err
+
+
 def test_masks_subcommand(capsys):
     assert run("masks", "--window", "7") == 0
     out = capsys.readouterr().out

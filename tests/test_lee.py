@@ -28,6 +28,8 @@ def test_spec_validation():
         LeeSpec(window=4)
     with pytest.raises(InvalidArgumentError):
         LeeSpec(window=1)
+    with pytest.raises(InvalidArgumentError, match="at most 128 cells"):
+        LeeSpec(window=13)  # its window sums exceed windows.ROW_SUM_MAX terms
     with pytest.raises(InvalidArgumentError):
         LeeSpec(nominal_looks=0.5)
 

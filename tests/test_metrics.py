@@ -354,6 +354,19 @@ def test_compute_report_with_geometry():
         assert cell != "NA"
 
 
+def test_geometry_of_another_size_is_rejected():
+    # a 64 geometry on 128^2 images picks the wrong regions; it must not give numbers
+    for image_size, geom_size in ((128, 64), (64, 128)):
+        sit = SITUATIONS[2]
+        phantom = make_phantom(default_geometry(image_size), sit)
+        noisy = corrupt(phantom, sit, replicate_stream(0, 2, 0))
+        geom = default_geometry(geom_size)
+        with pytest.raises(InvalidArgumentError, match="geometry size"):
+            edge_measures(noisy, geom, phantom)
+        with pytest.raises(InvalidArgumentError, match="geometry size"):
+            compute_report(phantom, noisy, geom)
+
+
 def test_compute_report_turns_failures_into_na():
     flat = Raster(np.full((16, 16), 4.0))
     report = compute_report(flat, flat)

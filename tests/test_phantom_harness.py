@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import multiprocessing
 import pickle
 import warnings
@@ -335,6 +336,45 @@ def test_run_protocol_thread_count_is_invisible(tmp_path):
             assert multiprocessing.active_children() == [], threads
             csvs.append(path.read_bytes())
     assert csvs[1:] == csvs[:1] * 3
+
+
+# Two levels: input and lee:5 give one image at both, hellinger:5 one at each.
+MULTI_LEVEL_ARGS = ("--fast", "--seed", "0", "--replicates", "2", "--situations", "1,3",
+                    "--levels", "0.2,0.01", "--filters", "input,lee:5,hellinger:5")
+# frozen before the level loop shared the level-free reports
+MULTI_LEVEL_SHA256 = "6d00286c0e3ae2fa89a17e1d3c01b7fd05b8cc4e3b17beb49675b3c115162cbe"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_multi_level_csv_bytes_are_frozen(tmp_path, threads):
+    path = tmp_path / "levels.csv"
+    argv = ["montecarlo", *MULTI_LEVEL_ARGS, "--threads", str(threads), "--out", str(path)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MULTI_LEVEL_SHA256
+
+
+def test_each_distinct_filtered_image_is_reported_once(monkeypatch):
+    real = harness.compute_report
+    reports = []
+
+    def spy(reference, test, geom):
+        reports.append(real(reference, test, geom))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "compute_report", spy)
+    plan = fast_plan(situations=(1, 3), replicates=2, levels=(0.2, 0.01),
+                     filters=(("input", None), ("lee", 5), ("hellinger", 5)))
+    rows = run_protocol(plan)
+    # per task: input once, lee:5 once, hellinger:5 once per level
+    assert len(reports) == 4 * (1 + 1 + 2)
+    assert len(rows) == 4 * 3 * 2
+    assert {id(r) for r in reports} == {id(row["report"]) for row in rows}
+    shared = {}
+    for row in rows:
+        shared.setdefault((row["filter"], row["situation"], row["replicate"]), []).append(
+            row["report"])
+    for (kind, _, _), (first, second) in shared.items():
+        assert (first is second) == (kind != "hellinger"), kind
 
 
 def test_errors_pickle_with_class_and_message():
