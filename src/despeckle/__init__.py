@@ -52,6 +52,7 @@ from .lee import LeeSpec, lee_filter
 from .metrics import (
     METRIC_HEADER,
     MetricReport,
+    Reference,
     compute_report,
     edge_measures,
     enl,
@@ -118,6 +119,7 @@ __all__ = [
     "lee_filter",
     "METRIC_HEADER",
     "MetricReport",
+    "Reference",
     "compute_report",
     "edge_measures",
     "enl",

@@ -153,17 +153,26 @@ def into_range(z):
     return np.ldexp(z, shift[..., None]), shift
 
 
-def shift_zeros(z) -> np.ndarray:
+def shift_zeros(z, out=None, work=None, mask=None) -> np.ndarray:
     """z with each exact zero replaced by ZERO_SHIFT times the smallest
     positive value along the last axis, floored at the smallest subnormal,
     which keeps log z finite; a row without a positive value scales by 1.
-    z without a zero comes back as is."""
-    zero = z == 0.0
+    z without a zero comes back as is.  out (the result), work (float) and
+    mask (bool), each of z's shape, are optional buffers for the steps."""
+    zero = np.equal(z, 0.0, out=mask)
     if not zero.any():
         return z
-    lowest = np.where(z > 0.0, z, np.inf).min(axis=-1, keepdims=True)
+    work = np.empty_like(z) if work is None else work
+    out = np.empty_like(z) if out is None else out
+    # the smallest positive value of each row: the others read as inf
+    work.fill(np.inf)
+    np.copyto(work, z, where=np.greater(z, 0.0, out=zero))
+    lowest = work.min(axis=-1, keepdims=True)
     lowest[np.isinf(lowest)] = 1.0
-    return np.where(zero, np.maximum(ZERO_SHIFT * lowest, np.nextafter(0.0, 1.0)), z)
+    np.copyto(out, z)
+    np.copyto(out, np.maximum(ZERO_SHIFT * lowest, np.nextafter(0.0, 1.0)),
+              where=np.equal(z, 0.0, out=zero))
+    return out
 
 
 def _dispersion_gap(looks):

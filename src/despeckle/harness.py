@@ -27,7 +27,8 @@ from .divergence import KINDS, TestConfig
 from .errors import DomainError, InvalidArgumentError
 from .gamma import unit_speckle
 from .lee import LeeSpec, lee_filter
-from .metrics import MetricReport, compute_report
+# compute_report stays bound here, unread: perfbench's traced run rebinds it by name
+from .metrics import MetricReport, Reference, compute_report
 from .nmfilter import FilterSpec, filter_image
 from .phantom import PhantomGeometry, default_geometry, render_phantom
 from .raster import Raster
@@ -107,8 +108,13 @@ class RunPlan:
     def __post_init__(self):
         if self.replicates < 1:
             raise InvalidArgumentError("replicates must be >= 1")
-        if not self.filters:
-            raise InvalidArgumentError("at least one filter is required")
+        for name, values in (("situation", self.situations),
+                             ("filter", [tuple(f) for f in self.filters]),
+                             ("significance level", self.levels)):
+            if not values:
+                raise InvalidArgumentError(f"at least one {name} is required")
+            if len(set(values)) < len(values):
+                raise InvalidArgumentError(f"each {name} may be given only once")
         for kind, window in self.filters:
             if kind not in FILTER_KINDS:
                 raise InvalidArgumentError(f"unknown filter kind {kind!r}")
@@ -117,8 +123,6 @@ class RunPlan:
         for level in self.levels:
             if not 0.0 < level < 1.0:
                 raise InvalidArgumentError("levels must lie in (0, 1)")
-        if not self.levels:
-            raise InvalidArgumentError("at least one significance level is required")
         for sid in self.situations:
             if sid not in SITUATIONS:
                 raise InvalidArgumentError(f"unknown situation {sid}")
@@ -149,38 +153,37 @@ def _apply_filter(kind, window, corrupted, sit, level, plan):
     return filter_image(corrupted, FilterSpec(window=window, test=plan.test_config(kind, level)))
 
 
-def _replicate_rows(plan, geom, phantoms, task):
+def _replicate_rows(plan, references, task):
     sid, rep = task
     sit = SITUATIONS[sid]
-    phantom = phantoms[sid]
-    corrupted = corrupt(phantom, sit, replicate_stream(plan.master_seed, sid, rep))
-    rows = []
+    reference = references[sid]
+    corrupted = corrupt(reference.image, sit, replicate_stream(plan.master_seed, sid, rep))
+    # only the region tests depend on the level; the others give one image
+    images = {}
     for kind, window in plan.filters:
-        # only the region tests depend on the level; the others share one report
-        report = None
-        for level in plan.levels:
-            if report is None or kind in KINDS:
-                filtered = _apply_filter(kind, window, corrupted, sit, level, plan)
-                report = compute_report(phantom, filtered, geom)
-            rows.append(
-                {
-                    "filter": kind,
-                    "window": window,
-                    "level": level,
-                    "situation": sid,
-                    "replicate": rep,
-                    "report": report,
-                }
-            )
-    return rows
+        for level in plan.levels if kind in KINDS else plan.levels[:1]:
+            images[kind, window, level] = _apply_filter(kind, window, corrupted, sit, level, plan)
+    reports = dict(zip(images, reference.reports(list(images.values()))))
+    return [
+        {
+            "filter": kind,
+            "window": window,
+            "level": level,
+            "situation": sid,
+            "replicate": rep,
+            "report": reports[kind, window, level if kind in KINDS else plan.levels[0]],
+        }
+        for kind, window in plan.filters
+        for level in plan.levels
+    ]
 
 
-_worker_protocol = None  # (plan, geom, phantoms), set once in each pool worker
+_worker_protocol = None  # (plan, references), set once in each pool worker
 
 
-def _init_worker(plan, geom, phantoms):
+def _init_worker(plan, references):
     global _worker_protocol
-    _worker_protocol = (plan, geom, phantoms)
+    _worker_protocol = (plan, references)
 
 
 def _worker_rows(task):
@@ -190,29 +193,32 @@ def _worker_rows(task):
 def run_protocol(plan: RunPlan, geom: PhantomGeometry | None = None, threads: int = 1) -> list:
     """Execute the plan and return unsorted result rows (dicts).
 
-    Replicates are independent tasks; `threads` only controls how they are
-    scheduled, never the numbers produced.  With one worker the tasks run in
-    this process.  With more, each of min(threads, tasks) workers is a process
-    forked from this one (the "fork" start method, so POSIX only), handed the
-    plan, geometry and phantoms once, and sent (situation, replicate) pairs;
-    a worker's exception reaches the caller with its class and message.
-    Python 3.12 and later may warn (DeprecationWarning) that forking a process
-    with live threads can deadlock: numpy's OpenBLAS starts native threads at
-    import.
+    Each situation's phantom is built once, as a metrics.Reference that keeps
+    the phantom's side of the metrics, and each replicate scores all of its
+    filtered images against it in one Reference.reports call.  Replicates are
+    independent tasks; `threads` only controls how they are scheduled, never
+    the numbers produced.  With one worker the tasks run in this process.
+    With more, each of min(threads, tasks) workers is a process forked from
+    this one (the "fork" start method, so POSIX only), handed the plan and the
+    references once, and sent (situation, replicate) pairs; a worker's
+    exception reaches the caller with its class and message.  Python 3.12 and
+    later may warn (DeprecationWarning) that forking a process with live
+    threads can deadlock: numpy's OpenBLAS starts native threads at import.
     """
     if geom is None:
         geom = default_geometry(plan.size)
     if geom.size != plan.size:
         raise InvalidArgumentError("geometry size does not match the plan")
-    phantoms = {sid: make_phantom(geom, SITUATIONS[sid]) for sid in plan.situations}
+    references = {sid: Reference(make_phantom(geom, SITUATIONS[sid]), geom)
+                  for sid in plan.situations}
     tasks = [(sid, rep) for sid in plan.situations for rep in range(plan.replicates)]
     workers = min(threads, len(tasks))
     if workers <= 1:
-        chunks = list(map(partial(_replicate_rows, plan, geom, phantoms), tasks))
+        chunks = list(map(partial(_replicate_rows, plan, references), tasks))
     else:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_init_worker,
-                                 initargs=(plan, geom, phantoms)) as pool:
+                                 initargs=(plan, references)) as pool:
             chunks = list(pool.map(_worker_rows, tasks))
     return [row for chunk in chunks for row in chunk]
 

@@ -15,6 +15,7 @@ smallest.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .raster import Raster
 from .windows import sum_rows, window_max, window_min
 
 Q_WINDOW = 8
-Q_CHUNK = 1024  # windows per Q gather: bounds its buffers at ~1.6 MB
+Q_CHUNK = 1024  # windows per Q gather: bounds its buffers at ~2.1 MB
 DCON_OFFSET = 23.0 / 255.0
 
 
@@ -111,59 +112,122 @@ def edge_measures(img: Raster, geom: PhantomGeometry, reference: Raster) -> tupl
     return gradient, _scaled_back(abs(v_img - v_ref), 2 * s)
 
 
-def _q_window_values(x: np.ndarray, y: np.ndarray):
-    """Q of every used window, in row-major order on the window grid, and the
-    count of skipped windows.  Only the windows where the reference x varies
-    are gathered, Q_CHUNK at a time, cells-major into one reused buffer: row k
-    of image i holds cell k of each window.  Each mean, variance and the
-    covariance then takes the steps of np.mean, np.var(ddof=1) and
+def _q_of(mx, my, vx, vy, cov):
+    """Q of windows from their means, variances and covariance: correlation
+    times luminance times contrast."""
+    sx = np.sqrt(vx)
+    sy = np.sqrt(vy)
+    return (cov / (sx * sy)) * (2.0 * mx * my / (mx**2 + my**2)) * (2.0 * sx * sy / (vx + vy))
+
+
+def _q_scores(x: np.ndarray, varying: np.ndarray, tests, shift=None, moments=None):
+    """Q of each test image against the reference x over the windows varying
+    (flat indices on the window grid, where x varies), and the mean and
+    variance of x over each chunk of them: ([q per test], [(mx, vx) per chunk]).
+
+    The windows go Q_CHUNK at a time, cells-major into one reused buffer: row k
+    of an image's (cells, windows) block holds cell k of each window.  Each
+    chunk of x is gathered and centred once, then every test is gathered and
+    scored against it.  shift, None or one power per varying window, scales
+    both images' cells (the range rule); moments, one (mx, vx) per chunk from
+    an earlier call at the same shift, spares their sums.  Each mean, variance
+    and the covariance takes the steps of np.mean, np.var(ddof=1) and
     ((x - mx) * (y - my)).sum() / (n - 1) on the copied window, in RowSum's
     order, so it has their bits."""
     n = Q_WINDOW * Q_WINDOW
-    top = window_max(x, Q_WINDOW)
-    # a window holding nan varies (nan != nan); its nan variance leaves it unused
-    varying = np.flatnonzero(window_min(x, Q_WINDOW) != top)
-    shift = range_shift(
-        min(x.min(), y.min()),
-        max(x.max(), y.max()),
-        lambda: np.maximum(top, window_max(y, Q_WINDOW)),
-    )
-    shift = np.ravel(shift) if np.any(shift) else None
-    flat = (np.ravel(x), np.ravel(y))
-    offsets = [r * x.shape[1] + c for r in range(Q_WINDOW) for c in range(Q_WINDOW)]
+    grid_width = x.shape[1] - Q_WINDOW + 1
+    offsets = np.array([[r * x.shape[1] + c] for r in range(Q_WINDOW) for c in range(Q_WINDOW)])
+    images = [np.ravel(x)] + [np.ravel(y) for y in tests]
     chunk = min(Q_CHUNK, varying.size)
     buf = np.empty(3 * n * chunk)
     acc = np.empty(8 * chunk)
-    parts = []
-    for start in range(0, varying.size, Q_CHUNK):
+    flat = np.empty(n * chunk, dtype=np.intp)
+    parts = [[] for _ in tests]
+    chunk_moments = []
+    for k, start in enumerate(range(0, varying.size, Q_CHUNK)):
         windows = varying[start:start + Q_CHUNK]
         m = windows.size
-        corner = windows + windows // top.shape[1] * (Q_WINDOW - 1)  # flat index of cell 0
-        cells = buf[:3 * n * m].reshape(3, n, m)
-        for image, rows in zip(flat, cells):
-            for offset, row in zip(offsets, rows):
-                image[offset:].take(corner, out=row, mode="clip")
-        if shift is not None:
-            np.ldexp(cells[:2], shift[windows], out=cells[:2])
+        ref, cells, product = buf[:3 * n * m].reshape(3, n, m)
         sums = acc[:8 * m].reshape(8, m)
-        mx = sum_rows(cells[0], sums) / n
-        my = sum_rows(cells[1], sums) / n
-        np.subtract(cells[0], mx, out=cells[0])
-        np.subtract(cells[1], my, out=cells[1])
-        vx, vy, cov = (
-            sum_rows(np.multiply(cells[i], cells[j], out=cells[2]), sums) / (n - 1)
-            for i, j in ((0, 0), (1, 1), (0, 1))
-        )
-        usable = (vx > 0) & (vy > 0) & (mx**2 + my**2 > 0)
-        sx = np.sqrt(vx[usable])
-        sy = np.sqrt(vy[usable])
-        parts.append(
-            (cov[usable] / (sx * sy))
-            * (2.0 * mx[usable] * my[usable] / (mx[usable] ** 2 + my[usable] ** 2))
-            * (2.0 * sx * sy / (vx[usable] + vy[usable]))
-        )
-    q = np.concatenate(parts) if parts else np.empty(0)
-    return q, top.size - q.size
+        # the flat index of each cell of each window, shared by every image
+        at = np.add(offsets, windows + windows // grid_width * (Q_WINDOW - 1),
+                    out=flat[:n * m].reshape(n, m))
+
+        def gather(image, out):
+            image.take(at, out=out, mode="clip")
+            if shift is not None:
+                np.ldexp(out, shift[start:start + m], out=out)
+
+        gather(images[0], ref)
+        if moments is None:
+            mx = sum_rows(ref, sums) / n
+            np.subtract(ref, mx, out=ref)
+            vx = sum_rows(np.multiply(ref, ref, out=product), sums) / (n - 1)
+        else:
+            mx, vx = moments[k]
+            np.subtract(ref, mx, out=ref)
+        chunk_moments.append((mx, vx))
+        for image, out in zip(images[1:], parts):
+            gather(image, cells)
+            my = sum_rows(cells, sums) / n
+            np.subtract(cells, my, out=cells)
+            vy = sum_rows(np.multiply(cells, cells, out=product), sums) / (n - 1)
+            cov = sum_rows(np.multiply(ref, cells, out=product), sums) / (n - 1)
+            usable = (vx > 0) & (vy > 0) & (mx**2 + my**2 > 0)
+            moments_xy = (mx, my, vx, vy, cov)
+            if not usable.all():
+                moments_xy = [a[usable] for a in moments_xy]
+            out.append(_q_of(*moments_xy))
+    return [np.concatenate(p) if p else np.empty(0) for p in parts], chunk_moments
+
+
+class _QReference:
+    """The reference's side of Q: the windows where it varies, its window
+    maximum for the range rule, and, once a batch at shift 0 has computed
+    them, its mean and variance over those windows at shift 0."""
+
+    def __init__(self, x: np.ndarray):
+        if x.shape[0] < Q_WINDOW or x.shape[1] < Q_WINDOW:
+            raise InvalidArgumentError(f"images must allow one full {Q_WINDOW}x{Q_WINDOW} window")
+        self._x = x
+        self._top = window_max(x, Q_WINDOW)
+        # a window holding nan varies (nan != nan); its nan variance leaves it unused
+        self._varying = np.flatnonzero(window_min(x, Q_WINDOW) != self._top)
+        self._low, self._high = x.min(), x.max()
+        self._moments = None
+        self.windows = self._top.size
+
+    def values(self, tests) -> list:
+        """Q of the used windows of each test array against the reference, in
+        row-major order on the window grid.  The tests whose pair the range rule
+        leaves as is are scored in one pass; each other test alone, at its shift."""
+        out = [None] * len(tests)
+        plain = []
+        for i, y in enumerate(tests):
+            shift = range_shift(
+                min(self._low, y.min()),
+                max(self._high, y.max()),
+                lambda: np.maximum(self._top, window_max(y, Q_WINDOW)),
+            )
+            if np.any(shift):
+                out[i] = _q_scores(self._x, self._varying, [y], np.ravel(shift)[self._varying])[0][0]
+            else:
+                plain.append(i)
+        if plain:
+            scores, self._moments = _q_scores(self._x, self._varying, [tests[i] for i in plain],
+                                              moments=self._moments)
+            for i, q in zip(plain, scores):
+                out[i] = q
+        return out
+
+
+def _q_summary(q: np.ndarray, windows: int, with_counts: bool = False):
+    if q.size == 0:
+        raise DegenerateRegionError("every Q window was degenerate")
+    result = (float(q.mean()), float(q.std(ddof=0)))
+    if with_counts:
+        return result + (int(q.size), windows - q.size)
+    return result
 
 
 def q_index(x: Raster, y: Raster, with_counts: bool = False):
@@ -185,15 +249,8 @@ def q_index(x: Raster, y: Raster, with_counts: bool = False):
     copied windows.
     """
     _check_same_shape(x, y)
-    if x.height < Q_WINDOW or x.width < Q_WINDOW:
-        raise InvalidArgumentError(f"images must allow one full {Q_WINDOW}x{Q_WINDOW} window")
-    q, skipped = _q_window_values(x.array, y.array)
-    if q.size == 0:
-        raise DegenerateRegionError("every Q window was degenerate")
-    result = (float(q.mean()), float(q.std(ddof=0)))
-    if with_counts:
-        return result + (int(q.size), skipped)
-    return result
+    side = _QReference(x.array)
+    return _q_summary(side.values([y.array])[0], side.windows, with_counts)
 
 
 def _laplacian(arr: np.ndarray) -> np.ndarray:
@@ -212,6 +269,29 @@ def _unit_scaled(a: np.ndarray) -> np.ndarray:
     return np.ldexp(a, 1 - np.frexp(np.abs(a).max())[1])
 
 
+def _centred_laplacian(a: np.ndarray) -> tuple:
+    """(d, sum of d^2): the Laplacian of a, taken after _in_range brings a into
+    range, centred and scaled by the power of two that puts its largest
+    magnitude in [1, 2).  The scalings are exact and the correlation does not
+    see them, so intensities of any magnitude neither overflow nor underflow."""
+    if a.shape[0] < 3 or a.shape[1] < 3:
+        raise InvalidArgumentError("images must be at least 3x3")
+    (a,), _ = _in_range(a)
+    lap = _laplacian(a).ravel()
+    d = _unit_scaled(lap - lap.mean())
+    return d, (d**2).sum()
+
+
+def _laplacian_correlation(reference: tuple, y: np.ndarray) -> float:
+    """The correlation of a _centred_laplacian of the reference with y's."""
+    dx, sxx = reference
+    dy, syy = _centred_laplacian(y)
+    denom = np.sqrt(sxx * syy)
+    if denom == 0:
+        raise DegenerateRegionError("constant Laplacian, correlation undefined")
+    return float((dx * dy).sum() / denom)
+
+
 def laplacian_correlation(x: Raster, y: Raster) -> float:
     """Pearson correlation between the 4-neighbour Laplacians of x and y.
 
@@ -225,19 +305,7 @@ def laplacian_correlation(x: Raster, y: Raster) -> float:
     correlation of in-range images.
     """
     _check_same_shape(x, y)
-    if x.height < 3 or x.width < 3:
-        raise InvalidArgumentError("images must be at least 3x3")
-    # each image at its own power of two, which the correlation does not see
-    (xa,), _ = _in_range(x.array)
-    (ya,), _ = _in_range(y.array)
-    lx = _laplacian(xa).ravel()
-    ly = _laplacian(ya).ravel()
-    dx = _unit_scaled(lx - lx.mean())
-    dy = _unit_scaled(ly - ly.mean())
-    denom = np.sqrt((dx**2).sum() * (dy**2).sum())
-    if denom == 0:
-        raise DegenerateRegionError("constant Laplacian, correlation undefined")
-    return float((dx * dy).sum() / denom)
+    return _laplacian_correlation(_centred_laplacian(x.array), y.array)
 
 
 def error_metrics(x: Raster, y: Raster) -> tuple:
@@ -305,6 +373,80 @@ class MetricReport:
 METRIC_HEADER = ",".join(f.name for f in dataclass_fields(MetricReport))
 
 
+class Reference:
+    """A reference image and the parts of its metrics that depend on it alone,
+    to score any number of test images against it.
+
+    Built once, it holds Q's varying windows and window maximum, and the
+    reference's centred Laplacian with its sum of squares; its Q means and
+    variances at shift 0 are kept from the first batch that computes them.
+    These are small arrays: the reference's cells are gathered again, a chunk
+    at a time, by every batch.  A geometry of another size than the image
+    raises InvalidArgumentError.
+    """
+
+    def __init__(self, image: Raster, geom: PhantomGeometry | None = None):
+        if geom is not None:
+            _check_geometry(image, geom)
+        self.image = image
+        self.geom = geom
+        # built here, so forked workers inherit them; one that fails is built
+        # again in each report, where its error makes the metric None
+        for part in ("_q", "_centred"):
+            try:
+                getattr(self, part)
+            except (DespeckleError, FloatingPointError):
+                pass
+
+    @cached_property
+    def _q(self) -> _QReference:
+        return _QReference(self.image.array)
+
+    @cached_property
+    def _centred(self) -> tuple:
+        return _centred_laplacian(self.image.array)
+
+    def reports(self, tests) -> list:
+        """One MetricReport of each test image against the reference, as
+        compute_report defines it.  Q is computed for the whole batch in one
+        pass over the reference's windows; should the pass raise a metric
+        error, each test is scored alone, so the error costs only its own Q."""
+        for test in tests:
+            _check_same_shape(self.image, test)
+        try:
+            q_values = self._q.values([test.array for test in tests])
+        except (DespeckleError, FloatingPointError):
+            q_values = [None] * len(tests)
+        return [self._report(test, q) for test, q in zip(tests, q_values)]
+
+    def _report(self, test: Raster, q) -> MetricReport:
+        def attempt(fn, width=None):
+            try:
+                return fn()
+            except (DespeckleError, FloatingPointError):
+                return None if width is None else (None,) * width
+
+        def q_stats():
+            values = self._q.values([test.array])[0] if q is None else q
+            return _q_summary(values, self._q.windows)
+
+        ref, geom = self.image, self.geom
+        line = gradient = variance = None
+        if geom is None:
+            enl_value = attempt(lambda: enl(test.array))
+        else:
+            enl_value = attempt(lambda: enl(test.array[geom.background_slices()]))
+            line = attempt(lambda: line_contrast(test, geom, ref))
+            gradient, variance = attempt(lambda: edge_measures(test, geom, ref), 2)
+        q_mean, q_std = attempt(q_stats, 2)
+        beta_rho = attempt(lambda: _laplacian_correlation(self._centred, test.array))
+        mae, mse, nmse, dcon = attempt(lambda: error_metrics(ref, test), 4)
+        return MetricReport(
+            enl=enl_value, line_contrast_error=line, edge_gradient=gradient, edge_variance=variance,
+            q_mean=q_mean, q_std=q_std, beta_rho=beta_rho, mae=mae, mse=mse, nmse=nmse, dcon=dcon,
+        )
+
+
 def compute_report(
     reference: Raster, test: Raster, geom: PhantomGeometry | None = None
 ) -> MetricReport:
@@ -316,27 +458,7 @@ def compute_report(
     the test image and the line/edge deviations are computed; without one,
     ENL falls back to the whole image and those three fields stay None.  A
     geometry of another size than the images raises InvalidArgumentError.
+    To score many images against one reference, build a Reference once and
+    call its reports.
     """
-    _check_same_shape(reference, test)
-
-    def attempt(fn, width=None):
-        try:
-            return fn()
-        except (DespeckleError, FloatingPointError):
-            return None if width is None else (None,) * width
-
-    line = gradient = variance = None
-    if geom is None:
-        enl_value = attempt(lambda: enl(test.array))
-    else:
-        _check_geometry(test, geom)
-        enl_value = attempt(lambda: enl(test.array[geom.background_slices()]))
-        line = attempt(lambda: line_contrast(test, geom, reference))
-        gradient, variance = attempt(lambda: edge_measures(test, geom, reference), 2)
-    q_mean, q_std = attempt(lambda: q_index(reference, test), 2)
-    beta_rho = attempt(lambda: laplacian_correlation(reference, test))
-    mae, mse, nmse, dcon = attempt(lambda: error_metrics(reference, test), 4)
-    return MetricReport(
-        enl=enl_value, line_contrast_error=line, edge_gradient=gradient, edge_variance=variance,
-        q_mean=q_mean, q_std=q_std, beta_rho=beta_rho, mae=mae, mse=mse, nmse=nmse, dcon=dcon,
-    )
+    return Reference(reference, geom).reports([test])[0]

@@ -222,13 +222,13 @@ def _plan(spec: FilterSpec):
 class _Buffers:
     """One worker's arrays, reused across its blocks.  A block of c centres
     views the first rows * c values of a part as (rows, c): "win" holds the
-    windows, "log" the logs the tests see and then the covered cells,
-    "gather" each gather of rows in turn, "tests" four (8, c) arrays of the
-    region tests, "accepted" the (9, c) acceptance, "row" the (c,) sums and
-    means of the tests and of the output, and "mask" the bool masks.  The
-    float parts share one allocation: once freed it raises glibc's dynamic
-    mmap threshold above its size, so later calls take it from the heap
-    instead of faulting in fresh pages."""
+    windows, "log" the masked minimum of shift_zeros, then the logs the tests
+    see and then the covered cells, "gather" each gather of rows in turn,
+    "tests" four (8, c) arrays of the region tests, "accepted" the (9, c)
+    acceptance, "row" the (c,) sums and means of the tests and of the output,
+    and "mask" the bool masks.  The float parts share one allocation: once
+    freed it raises glibc's dynamic mmap threshold above its size, so later
+    calls take it from the heap instead of faulting in fresh pages."""
 
     def __init__(self, plan, centres: int):
         _, gathers, indicators, _ = plan
@@ -239,9 +239,19 @@ class _Buffers:
         ends = np.cumsum(list(rows.values()))[:-1] * centres
         self._parts = dict(zip(rows, np.split(flat, ends)))
         self._parts["mask"] = np.empty(2 * 8 * centres, dtype=bool)
+        self._centres = centres
+        self._zero_parts = None
 
     def get(self, name: str, *shape) -> np.ndarray:
         return self._parts[name][:np.prod(shape)].reshape(shape)
+
+    def zero_parts(self, cells: int, count: int) -> list:
+        """The (cells, count) result and bool mask of shift_zeros, made at the
+        first block that holds a zero, so a zero-free image never allocates them."""
+        if self._zero_parts is None:
+            self._zero_parts = (np.empty(cells * self._centres),
+                                np.empty(cells * self._centres, dtype=bool))
+        return [part[:cells * count].reshape(cells, count) for part in self._zero_parts]
 
 
 def _gather(a: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -308,8 +318,12 @@ def _filter_block(padded: np.ndarray, first: int, last: int, spec: FilterSpec, p
         np.ldexp(win, shift, out=win)
         lowest = win.min()  # a value far below its window's maximum may reach 0
     # intensities are >= 0, so only a block whose lowest value is 0 has zeros
-    z = shift_zeros(win.T).T if lowest == 0.0 else win
-    logz = np.log(z, out=buffers.get("log", cells, count))
+    logz = buffers.get("log", cells, count)
+    z = win
+    if lowest == 0.0:
+        shifted, zero = buffers.zero_parts(cells, count)
+        z = shift_zeros(win.T, out=shifted.T, work=logz.T, mask=zero.T).T
+    np.log(z, out=logz)
     rhs1, accepted = _region_tests(z, logz, spec.test, reach, central, gathers, buffers)
 
     # the output averages the raw cells, zeros included: covered is 1 on a

@@ -214,6 +214,22 @@ def test_montecarlo_respects_levels_and_size(tmp_path):
     assert [r["level"] for r in rows] == ["0.1", "0.2"]
 
 
+def test_montecarlo_refuses_an_empty_or_repeated_list(tmp_path, capsys):
+    # an empty list wrote a header-only CSV and a repeated one duplicate rows
+    out = tmp_path / "mc.csv"
+    base = ("montecarlo", "--fast", "--seed", "1", "--replicates", "1", "--out", str(out))
+    for flags, message in (
+        (("--situations", ",", "--filters", "input"), "at least one situation"),
+        (("--situations", "1,1", "--filters", "input"), "each situation"),
+        (("--situations", "1", "--filters", "input,input"), "each filter"),
+        (("--situations", "1", "--filters", "input", "--levels", "0.2,0.2"),
+         "each significance level"),
+    ):
+        assert run(*base, *flags) == 2, flags
+        assert message in capsys.readouterr().err, flags
+        assert not out.exists()
+
+
 def test_usage_errors_exit_2(tmp_path, noisy_pair, monkeypatch):
     ph, noisy = noisy_pair
     with pytest.raises(SystemExit) as err:

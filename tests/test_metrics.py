@@ -378,7 +378,7 @@ def test_compute_report_lets_programming_errors_through(monkeypatch):
     def broken(x, y):
         raise TypeError("a bug, not a metric failure")
 
-    monkeypatch.setattr(metrics_module, "laplacian_correlation", broken)
+    monkeypatch.setattr(metrics_module, "error_metrics", broken)
     rng = stream(316)
     ref = Raster(rng.uniform(50.0, 150.0, (16, 16)))
     with pytest.raises(TypeError):

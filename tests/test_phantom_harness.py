@@ -20,6 +20,7 @@ from despeckle import (
     enl,
     errors,
     harness,
+    metrics,
     read_geometry,
     render_phantom,
     unit_speckle,
@@ -284,6 +285,16 @@ def test_run_plan_validation():
         RunPlan(levels=())
     with pytest.raises(InvalidArgumentError):
         RunPlan(situations=(9,))
+    # an empty list ran nothing, and a repeated entry repeated its rows
+    with pytest.raises(InvalidArgumentError, match="at least one situation"):
+        RunPlan(situations=())
+    with pytest.raises(InvalidArgumentError, match="each situation"):
+        RunPlan(situations=(1, 2, 1))
+    with pytest.raises(InvalidArgumentError, match="each filter"):
+        RunPlan(filters=(("input", None), ("lee", 5), ("input", None)))
+    with pytest.raises(InvalidArgumentError, match="each significance level"):
+        RunPlan(levels=(0.2, 0.1, 0.2))
+    RunPlan(filters=(("lee", 5), ("lee", 7)), levels=(0.2, 0.1))  # distinct entries
     # the test filters' settings fail at the plan, not at the first filter
     with pytest.raises(InvalidArgumentError, match="dof"):
         RunPlan(dof=3)
@@ -354,14 +365,14 @@ def test_multi_level_csv_bytes_are_frozen(tmp_path, threads):
 
 
 def test_each_distinct_filtered_image_is_reported_once(monkeypatch):
-    real = harness.compute_report
+    real = metrics.Reference.reports
     reports = []
 
-    def spy(reference, test, geom):
-        reports.append(real(reference, test, geom))
-        return reports[-1]
+    def spy(reference, tests):
+        reports.extend(real(reference, tests))
+        return reports[-len(tests):]
 
-    monkeypatch.setattr(harness, "compute_report", spy)
+    monkeypatch.setattr(metrics.Reference, "reports", spy)
     plan = fast_plan(situations=(1, 3), replicates=2, levels=(0.2, 0.01),
                      filters=(("input", None), ("lee", 5), ("hellinger", 5)))
     rows = run_protocol(plan)
@@ -377,6 +388,24 @@ def test_each_distinct_filtered_image_is_reported_once(monkeypatch):
         assert (first is second) == (kind != "hellinger"), kind
 
 
+def test_each_phantom_is_prepared_once_per_situation(monkeypatch):
+    # the phantom's side of Q (which windows vary) is built once per situation,
+    # not once per report: 2 here, against 2 x 2 x 3 = 12 reports
+    calls = []
+    real = metrics.window_min
+
+    def spy(a, size):
+        calls.append(a.shape)
+        return real(a, size)
+
+    monkeypatch.setattr(metrics, "window_min", spy)
+    plan = fast_plan(situations=(1, 2), replicates=2,
+                     filters=(("input", None), ("lee", 5), ("hellinger", 5)))
+    rows = run_protocol(plan)
+    assert len(rows) == 12 and all(row["report"].q_mean is not None for row in rows)
+    assert calls == [(64, 64)] * 2
+
+
 def test_errors_pickle_with_class_and_message():
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, DespeckleError)]
@@ -387,16 +416,16 @@ def test_errors_pickle_with_class_and_message():
 
 
 def test_worker_errors_reach_the_caller_unchanged(tmp_path, monkeypatch):
-    real = harness.compute_report
+    real = metrics.Reference.reports
     failure = [DegenerateRegionError("situation 3 is degenerate")]
 
-    def failing(reference, test, geom):
+    def failing(reference, tests):
         # forked workers inherit this patch
-        if reference.array.min() == SITUATIONS[3].background_mean:
+        if reference.image.array.min() == SITUATIONS[3].background_mean:
             raise failure[0]
-        return real(reference, test, geom)
+        return real(reference, tests)
 
-    monkeypatch.setattr(harness, "compute_report", failing)
+    monkeypatch.setattr(metrics.Reference, "reports", failing)
     plan = fast_plan(situations=(2, 3), replicates=2, filters=(("input", None),))
     with pytest.raises(DegenerateRegionError) as caught:
         run_protocol(plan, threads=2)

@@ -1,6 +1,8 @@
 """Window sums in numpy's order: the order guard, and Lee and Q against the
 copy-based window statistics they replaced, bit for bit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from despeckle import (
-    DegenerateRegionError, LeeSpec, Raster, default_geometry, lee_filter, pad_mirror, q_index,
+    DegenerateRegionError, LeeSpec, Raster, Reference, compute_report, default_geometry,
+    lee_filter, metrics, pad_mirror, q_index,
 )
 from despeckle.gamma import into_range
 from despeckle.harness import SITUATIONS, corrupt, make_phantom, replicate_stream
@@ -228,3 +231,49 @@ def test_q_on_a_constant_reference_is_degenerate():
         assert reference_q(x, y)[0].size == 0
         with pytest.raises(DegenerateRegionError):
             q_index(Raster(x), Raster(y))
+
+
+def report_bits(report):
+    return [None if v is None else float(v).hex() for v in dataclasses.astuple(report)]
+
+
+def test_a_batch_of_reports_is_each_pair_alone(monkeypatch):
+    # one reports call scores every image against the phantom prepared once:
+    # shift-0 images in one pass, the 2^600 one at its own shift, and each
+    # report has the bits of compute_report on its pair alone
+    geom = default_geometry(64)
+    sit = SITUATIONS[3]
+    clean = make_phantom(geom, sit)
+    noisy = corrupt(clean, sit, replicate_stream(0, 3, 0))
+    tests = [
+        noisy,
+        lee_filter(noisy, LeeSpec(window=5, nominal_looks=sit.looks)),
+        Raster(np.full(clean.shape, sit.background_mean)),
+        Raster(np.ldexp(noisy.array, 600)),
+    ]
+    passes = []
+    real = metrics._q_scores
+
+    def spy(x, varying, images, *args, **kwargs):
+        passes.append(len(images))
+        return real(x, varying, images, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_q_scores", spy)
+    reference = Reference(clean, geom)
+    first = reference.reports(tests)  # its pass computes the shift-0 moments
+    again = reference.reports(tests)  # this one reuses them
+    assert sorted(passes) == [1, 1, 3, 3]
+    monkeypatch.undo()
+    for reports in (first, again):
+        assert len(reports) == len(tests)
+        for test, report in zip(tests, reports):
+            alone = compute_report(clean, test, geom)
+            assert report_bits(report) == report_bits(alone)
+            q, _ = reference_q(clean.array, test.array)
+            if q.size == 0:
+                assert report.q_mean is None and report.q_std is None
+            else:
+                assert np.array_equal(bits([report.q_mean, report.q_std]),
+                                      bits([q.mean(), q.std(ddof=0)]))
+        assert reports[2].q_mean is None  # a constant image has no usable window
+        assert reports[3].q_mean is not None  # scored at its shift
