@@ -105,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shared", choices=("pooled", "sample1"), default=spec.test.shared_looks,
                    help="looks estimate shared by the test statistics")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads sharing the image's row blocks (default 1)")
+                   help="ignored, but must be >= 1: the filter runs in one thread, so the"
+                        " value never changes the output (default 1)")
     _add_format(p)
     p.set_defaults(func=cmd_filter)
 
@@ -163,6 +164,8 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_filter(args) -> int:
+    if args.threads < 1:
+        raise InvalidArgumentError(f"--threads must be >= 1, got {args.threads}")
     img = read_raster(args.infile, args.format)
     if args.kind == "lee":
         out = lee_filter(img, LeeSpec(window=args.window, nominal_looks=args.looks))
@@ -174,7 +177,7 @@ def cmd_filter(args) -> int:
             dof=args.dof,
             shared_looks=args.shared,
         )
-        out = filter_image(img, FilterSpec(window=args.window, test=cfg), threads=args.threads)
+        out = filter_image(img, FilterSpec(window=args.window, test=cfg))
     write_raster(out, args.out, args.format)
     return 0
 

@@ -205,6 +205,8 @@ def run_protocol(plan: RunPlan, geom: PhantomGeometry | None = None, threads: in
     later may warn (DeprecationWarning) that forking a process with live
     threads can deadlock: numpy's OpenBLAS starts native threads at import.
     """
+    if threads < 1:
+        raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
     if geom is None:
         geom = default_geometry(plan.size)
     if geom.size != plan.size:

@@ -27,7 +27,6 @@ diagram.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,11 +179,11 @@ class FilterSpec:
 # values the tests see change.
 #
 # The engine works cells-major: a block's windows are copied as a (cells,
-# centres) array, one row per window cell, into arrays each worker reuses
-# across its blocks, and the regions are gathered as rows with np.take.  Each
-# region sum adds its rows left to right and the pooled output sums all cells
-# with windows.RowSum (np.sum's order over a row): the orders in which the
-# output's frozen digests were made.
+# centres) array, one row per window cell, into arrays that one filter_image
+# call reuses across its blocks, and the regions are gathered as rows with
+# np.take.  Each region sum adds its rows left to right and the pooled output
+# sums all cells with windows.RowSum (np.sum's order over a row): the orders
+# in which the output's frozen digests were made.
 #
 # A region passes exactly when its fitted shared looks stay below the looks
 # threshold T at which its statistic reaches the chi-square critical value
@@ -193,15 +192,14 @@ class FilterSpec:
 # pairs from rhs T alone, by bounds on the dispersion gap, and only the ~5 %
 # between its cut-offs with a digamma, so no test solves for the looks or
 # computes its statistic or p-value.  Every step of the tests and the pooling
-# writes into the worker's buffers, so a block allocates no (8, centres)
+# writes into the call's buffers, so a block allocates no (8, centres)
 # array.
 
-# Centres per engine call.  On a 64x256 strip (2-vCPU Xeon, two runs of 81
-# interleaved filter_image calls after perfbench's warm-up commands) one
-# thread took 22.8/22.1, 20.4/19.5 and 20.6/19.5 ms median at 1024, 2048 and
-# 4096; two threads took 24.3/23.3, 17.8/16.6 and 16.5/14.8 ms.  Every call
-# took 3 (one thread) or 6 (two) minor page faults.  4096 makes a 64x64
-# image one block, which leaves a second thread nothing to do.
+# Centres per engine call.  On the 64x256 strip in one thread (2-vCPU Xeon,
+# numpy 2.4.6, shared host, 3 rounds of 15-call medians) 1024, 2048, 4096
+# and 8192 took 13.5-18.0, 11.2-14.6, 12.9-14.4 and 12.9-14.9 ms at 5x5, and
+# 21.7-23.8, 20.3-21.3, 21.7-23.7 and 22.2-24.0 ms at 7x7; the output had the
+# same bytes at every size.
 BLOCK_PIXELS = 2048
 
 
@@ -220,7 +218,7 @@ def _plan(spec: FilterSpec):
 
 
 class _Buffers:
-    """One worker's arrays, reused across its blocks.  A block of c centres
+    """One filter call's arrays, reused across its blocks.  A block of c centres
     views the first rows * c values of a part as (rows, c): "win" holds the
     windows, "log" the masked minimum of shift_zeros, then the logs the tests
     see and then the covered cells, "gather" each gather of rows in turn,
@@ -355,14 +353,11 @@ def filter_pixel(padded: Raster, center: tuple, spec: FilterSpec) -> float:
     return float(_filter_block(window, 0, 1, spec, plan, _Buffers(plan, 1))[0])
 
 
-def filter_image(img: Raster, spec: FilterSpec, threads: int = 1) -> Raster:
+def filter_image(img: Raster, spec: FilterSpec) -> Raster:
     """Filter every pixel once; mirror padding keeps the output size equal.
 
-    The engine runs on blocks of whole rows, about BLOCK_PIXELS centres
-    each.  Blocks are independent: each of `threads` workers takes every
-    threads-th block into arrays it reuses, so the result is identical for
-    any thread count.  One worker runs in the caller's thread, more on a
-    thread pool.
+    The engine runs in the caller's thread on blocks of whole rows, about
+    BLOCK_PIXELS centres each, into one set of arrays reused block after block.
     """
     if img.width < spec.window or img.height < spec.window:
         raise InvalidArgumentError(
@@ -371,21 +366,11 @@ def filter_image(img: Raster, spec: FilterSpec, threads: int = 1) -> Raster:
     padded = pad_mirror(img, spec.window // 2).array
     plan = _plan(spec)
     rows = max(1, BLOCK_PIXELS // img.width)
-    firsts = range(0, img.height, rows)
-    workers = max(1, min(threads, len(firsts)))
+    buffers = _Buffers(plan, rows * img.width)
     out = np.empty((img.height, img.width))
-
-    def work(worker):
-        buffers = _Buffers(plan, rows * img.width)
-        for first in firsts[worker::workers]:
-            last = min(first + rows, img.height)
-            out[first:last] = _filter_block(padded, first, last, spec, plan, buffers).reshape(
-                last - first, img.width
-            )
-
-    if workers == 1:
-        work(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(workers)))
+    for first in range(0, img.height, rows):
+        last = min(first + rows, img.height)
+        out[first:last] = _filter_block(padded, first, last, spec, plan, buffers).reshape(
+            last - first, img.width
+        )
     return Raster(out)

@@ -137,12 +137,14 @@ def test_filter_takes_values_near_the_float_maximum(tmp_path, capsys, kind, peak
 
 
 def test_filter_threads_flag_keeps_output(tmp_path, noisy_pair):
+    # the filter runs in one thread; --threads is still accepted, and ignored
     _, noisy = noisy_pair
-    a = tmp_path / "a.raw"
-    b = tmp_path / "b.raw"
-    assert run("filter", "--in", str(noisy), "--out", str(a), "--threads", "1") == 0
-    assert run("filter", "--in", str(noisy), "--out", str(b), "--threads", "3") == 0
-    assert a.read_bytes() == b.read_bytes()
+    outputs = []
+    for threads in ("1", "2", "3"):
+        out = tmp_path / f"t{threads}.raw"
+        assert run("filter", "--in", str(noisy), "--out", str(out), "--threads", threads) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1:] == outputs[:1] * 2
 
 
 def test_evaluate_prints_header_and_row(tmp_path, noisy_pair, capsys):
@@ -244,6 +246,13 @@ def test_usage_errors_exit_2(tmp_path, noisy_pair, monkeypatch):
     bad_alpha = run("filter", "--in", str(noisy), "--out", str(tmp_path / "x.raw"),
                     "--alpha", "1.5")
     assert bad_alpha == 2
+    for threads in ("0", "-2"):
+        assert run("filter", "--in", str(noisy), "--out", str(tmp_path / "x.raw"),
+                   "--threads", threads) == 2
+        assert not (tmp_path / "x.raw").exists()
+        assert run("montecarlo", "--fast", "--threads", threads,
+                   "--out", str(tmp_path / "x.csv")) == 2
+        assert not (tmp_path / "x.csv").exists()
     bad_situation = run("montecarlo", "--fast", "--situations", "7",
                         "--out", str(tmp_path / "x.csv"))
     assert bad_situation == 2

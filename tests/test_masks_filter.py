@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import sys
 import tracemalloc
 
 import numpy as np
@@ -177,16 +176,6 @@ def test_filter_output_within_window_range():
     assert np.all(out.array <= wins.max(axis=2) + 1e-12)
 
 
-def test_filter_thread_count_does_not_change_output():
-    rng = stream(103)
-    img = Raster(195.0 * unit_speckle(3.0, (24, 192), rng))
-    assert img.array.size > 2 * BLOCK_PIXELS  # three workers get a block each
-    spec = FilterSpec(window=5)
-    a = filter_image(img, spec, threads=1)
-    b = filter_image(img, spec, threads=3)
-    assert np.array_equal(a.array, b.array)
-
-
 def test_filter_row_blocks_agree_with_filter_pixel():
     # 70 rows of 128 span several engine blocks, the last one short
     rng = stream(106)
@@ -195,8 +184,7 @@ def test_filter_row_blocks_agree_with_filter_pixel():
     assert img.height > 2 * rows_per_block
     assert img.array.size % (rows_per_block * img.width) != 0
     spec = FilterSpec(window=5)
-    out = filter_image(img, spec, threads=2).array
-    assert np.array_equal(out, filter_image(img, spec, threads=1).array)
+    out = filter_image(img, spec).array
     padded = pad_mirror(img, 2)
     last = img.height // rows_per_block * rows_per_block  # first row of the short block
     for r in (0, rows_per_block - 1, rows_per_block, 2 * rows_per_block, last, img.height - 1):
@@ -206,9 +194,9 @@ def test_filter_row_blocks_agree_with_filter_pixel():
 
 @pytest.mark.parametrize("window", [5, 7])
 def test_alternating_calls_equal_fresh_calls(window):
-    # every worker reuses its arrays across its blocks; calls that alternate
-    # between images of other widths, kinds and thread counts must each give
-    # what a call on its own gives
+    # a call reuses its arrays across its blocks; calls that alternate between
+    # images of other widths and kinds must each give what a call on its own
+    # gives
     rng = stream(107, window)
     wide = 150.0 * unit_speckle(3.0, (40, 128), rng)
     wide[::7, ::5] = 0.0
@@ -218,16 +206,10 @@ def test_alternating_calls_equal_fresh_calls(window):
     specs = [FilterSpec(window=window, test=TestConfig(kind=kind)) for kind in KINDS]
     fresh = {(i, kind): filter_image(img, spec).array
              for i, img in enumerate(images) for kind, spec in zip(KINDS, specs)}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch workers often
-    try:
-        for threads in (1, 2, 3):
-            for kind, spec in zip(KINDS, specs):
-                for i, img in enumerate(images):
-                    got = filter_image(img, spec, threads=threads).array
-                    assert np.array_equal(got, fresh[i, kind]), (threads, kind, i)
-    finally:
-        sys.setswitchinterval(interval)
+    for kind, spec in zip(KINDS, specs):
+        for i, img in enumerate(images):
+            got = filter_image(img, spec).array
+            assert np.array_equal(got, fresh[i, kind]), (kind, i)
 
 
 def test_filter_pixel_runs_the_block_function(monkeypatch):
@@ -630,5 +612,5 @@ def test_filter_raises_enl_on_homogeneous_images():
         for s in range(20):
             rng = stream(6, int(looks), s)
             img = Raster(150.0 * unit_speckle(looks, (64, 64), rng))
-            out = filter_image(img, spec, threads=4)
+            out = filter_image(img, spec)
             assert enl(out.array) >= 3.0 * enl(img.array)

@@ -470,7 +470,7 @@ def test_filtering_improves_q_against_clean_phantom():
     for s in range(20):
         rng = replicate_stream(99, 1, s)
         noisy = corrupt(phantom, sit, rng)
-        filtered = filter_image(noisy, spec, threads=4)
+        filtered = filter_image(noisy, spec)
         q_noisy.append(q_index(phantom, noisy)[0])
         q_filtered.append(q_index(phantom, filtered)[0])
     wins = sum(f > n for f, n in zip(q_filtered, q_noisy))

@@ -49,3 +49,19 @@ def test_no_module_imports_a_name_it_never_reads(targets):
         unused += [f"{module}.{name}" for name in _imported_names(tree)
                    if name not in read and (module, name) not in traced]
     assert unused == []
+
+
+def test_only_harness_imports_a_parallel_library():
+    # the protocol's forked replicates are the one parallel layer
+    parallel = {"concurrent", "threading", "multiprocessing"}
+    found = []
+    for path in sorted((ROOT / "src" / "despeckle").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [(path.stem, m) for m in modules if m.partition(".")[0] in parallel]
+    assert found and {stem for stem, _ in found} == {"harness"}, found

@@ -336,6 +336,13 @@ def test_run_protocol_geometry_size_check():
         run_protocol(fast_plan(), geom=default_geometry(128))
 
 
+def test_run_protocol_refuses_fewer_than_one_worker(monkeypatch):
+    monkeypatch.setattr(harness, "render_phantom", None)  # refused before any phantom
+    for threads in (0, -2):
+        with pytest.raises(InvalidArgumentError, match="threads must be >= 1"):
+            run_protocol(tiny_plan(), threads=threads)
+
+
 def test_run_protocol_thread_count_is_invisible(tmp_path):
     plan = tiny_plan()  # 2 tasks: 3 and 5 ask for more workers than tasks
     with warnings.catch_warnings():
