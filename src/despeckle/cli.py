@@ -33,14 +33,17 @@ from .raster import FORMATS, read_raster, write_raster
 
 
 def _seed(flag: int | None = None) -> int:
-    """The --seed value, or DESPECKLE_SEED's (default 0) when the flag is not given."""
-    if flag is not None:
-        return flag
-    text = os.environ.get("DESPECKLE_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidArgumentError(f"DESPECKLE_SEED must be an integer, got {text!r}") from None
+    """The --seed value, or DESPECKLE_SEED's (default 0) when the flag is not
+    given: a non-negative integer."""
+    if flag is None:
+        text = os.environ.get("DESPECKLE_SEED", "0")
+        try:
+            flag = int(text)
+        except ValueError:
+            raise InvalidArgumentError(f"DESPECKLE_SEED must be an integer, got {text!r}") from None
+    if flag < 0:
+        raise InvalidArgumentError(f"the seed (--seed or DESPECKLE_SEED) must be >= 0, got {flag}")
+    return flag
 
 
 def _add_format(p):
@@ -158,6 +161,8 @@ def cmd_phantom(args) -> int:
 def cmd_corrupt(args) -> int:
     img = read_raster(args.infile, args.format)
     sit = SITUATIONS[args.situation]
+    if args.replicate < 0:
+        raise InvalidArgumentError(f"--replicate must be >= 0, got {args.replicate}")
     stream = replicate_stream(_seed(args.seed), sit.id, args.replicate)
     write_raster(corrupt(img, sit, stream), args.out, args.format)
     return 0

@@ -108,6 +108,8 @@ class RunPlan:
     def __post_init__(self):
         if self.replicates < 1:
             raise InvalidArgumentError("replicates must be >= 1")
+        if self.master_seed < 0:
+            raise InvalidArgumentError("master_seed must be >= 0")
         for name, values in (("situation", self.situations),
                              ("filter", [tuple(f) for f in self.filters]),
                              ("significance level", self.levels)):

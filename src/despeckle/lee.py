@@ -11,8 +11,10 @@ centre pixel.  Each window is worked at the power of two gamma.range_shift
 gives it, the range rule that nmfilter, Q, mle, run_test and enl share, so
 squares of values near 1e308 cannot overflow and the output scales back exactly.
 The window mean and variance come from windows.window_moments, which adds one
-shifted view of the padded image per window cell in np.sum's order: no window
+flat slice of the padded image per window cell in np.sum's order: no window
 is copied, and the bytes are those of np.mean and np.var(ddof=1) on the copy.
+The formula runs on that flat layout too, each window that wraps from one row
+into the next at the shift of its own maximum; only the image's pixels are kept.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .gamma import range_shift
 from .raster import Raster, pad_mirror
-from .windows import ROW_SUM_MAX, window_max, window_moments
+from .windows import ROW_SUM_MAX, flat_cells, on_grid, window_max, window_moments
 
 
 @dataclass(frozen=True)
@@ -42,18 +44,23 @@ class LeeSpec:
 
 
 def lee_filter(img: Raster, spec: LeeSpec) -> Raster:
-    if img.width < spec.window or img.height < spec.window:
+    size = spec.window
+    if img.width < size or img.height < size:
         raise InvalidArgumentError(
-            f"image {img.height}x{img.width} smaller than the {spec.window}x{spec.window} window"
+            f"image {img.height}x{img.width} smaller than the {size}x{size} window"
         )
-    padded = pad_mirror(img, spec.window // 2).array
-    shift = range_shift(padded.min(), padded.max(), lambda: window_max(padded, spec.window))
-    mean, var = window_moments(padded, spec.window, shift)
+    padded = pad_mirror(img, size // 2).array
+    shift = range_shift(padded.min(), padded.max(), lambda: window_max(padded, size))
+    mean, var = window_moments(padded, size, shift)
+    centre = flat_cells(padded, size)[size * size // 2]  # the image's pixels
+    scaled = np.any(shift)
     noise_cv2 = 1.0 / spec.nominal_looks
     with np.errstate(divide="ignore", invalid="ignore"):
         cz2 = var / mean**2
         gain = np.clip(1.0 - noise_cv2 / cz2, 0.0, 1.0)
-    out = mean + gain * (np.ldexp(img.array, shift) - mean)
+    out = mean + gain * ((np.ldexp(centre, shift) if scaled else centre) - mean)
     # all-zero windows have no statistics to speak of; emit 0
     out = np.where(mean > 0, out, 0.0)
-    return Raster(np.ldexp(out, -shift))
+    if scaled:
+        np.ldexp(out, -shift, out=out)
+    return Raster(on_grid(out, padded.shape[1], size))

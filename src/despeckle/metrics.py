@@ -23,7 +23,7 @@ from .errors import DegenerateRegionError, DespeckleError, DomainError, InvalidA
 from .gamma import into_range, range_shift
 from .phantom import PhantomGeometry
 from .raster import Raster
-from .windows import sum_rows, window_max, window_min
+from .windows import flat_cells, on_grid, sum_rows, window_max, window_min
 
 Q_WINDOW = 8
 Q_CHUNK = 1024  # windows per Q gather: bounds its buffers at ~2.1 MB
@@ -122,7 +122,8 @@ def _q_of(mx, my, vx, vy, cov):
 
 def _q_scores(x: np.ndarray, varying: np.ndarray, tests, shift=None, moments=None):
     """Q of each test image against the reference x over the windows varying
-    (flat indices on the window grid, where x varies), and the mean and
+    (where x varies, by their positions i * width + j in windows' flat layout,
+    which are also the flat indices of their first cells), and the mean and
     variance of x over each chunk of them: ([q per test], [(mx, vx) per chunk]).
 
     The windows go Q_CHUNK at a time, cells-major into one reused buffer: row k
@@ -132,10 +133,9 @@ def _q_scores(x: np.ndarray, varying: np.ndarray, tests, shift=None, moments=Non
     both images' cells (the range rule); moments, one (mx, vx) per chunk from
     an earlier call at the same shift, spares their sums.  Each mean, variance
     and the covariance takes the steps of np.mean, np.var(ddof=1) and
-    ((x - mx) * (y - my)).sum() / (n - 1) on the copied window, in RowSum's
+    ((x - mx) * (y - my)).sum() / (n - 1) on the copied window, in sum_rows'
     order, so it has their bits."""
     n = Q_WINDOW * Q_WINDOW
-    grid_width = x.shape[1] - Q_WINDOW + 1
     offsets = np.array([[r * x.shape[1] + c] for r in range(Q_WINDOW) for c in range(Q_WINDOW)])
     images = [np.ravel(x)] + [np.ravel(y) for y in tests]
     chunk = min(Q_CHUNK, varying.size)
@@ -150,8 +150,7 @@ def _q_scores(x: np.ndarray, varying: np.ndarray, tests, shift=None, moments=Non
         ref, cells, product = buf[:3 * n * m].reshape(3, n, m)
         sums = acc[:8 * m].reshape(8, m)
         # the flat index of each cell of each window, shared by every image
-        at = np.add(offsets, windows + windows // grid_width * (Q_WINDOW - 1),
-                    out=flat[:n * m].reshape(n, m))
+        at = np.add(offsets, windows, out=flat[:n * m].reshape(n, m))
 
         def gather(image, out):
             image.take(at, out=out, mode="clip")
@@ -192,10 +191,11 @@ class _QReference:
         self._x = x
         self._top = window_max(x, Q_WINDOW)
         # a window holding nan varies (nan != nan); its nan variance leaves it unused
-        self._varying = np.flatnonzero(window_min(x, Q_WINDOW) != self._top)
+        varying = np.flatnonzero(window_min(x, Q_WINDOW) != self._top)
+        self._varying = varying[varying % x.shape[1] <= x.shape[1] - Q_WINDOW]
         self._low, self._high = x.min(), x.max()
         self._moments = None
-        self.windows = self._top.size
+        self.windows = (x.shape[0] - Q_WINDOW + 1) * (x.shape[1] - Q_WINDOW + 1)
 
     def values(self, tests) -> list:
         """Q of the used windows of each test array against the reference, in
@@ -254,14 +254,15 @@ def q_index(x: Raster, y: Raster, with_counts: bool = False):
 
 
 def _laplacian(arr: np.ndarray) -> np.ndarray:
+    """north + south + west + east - 4 * centre of the mirror-padded arr, on
+    flat slices of it (windows.flat_cells), as a view of arr's shape."""
     padded = np.pad(arr, 1, mode="reflect")
-    return (
-        padded[:-2, 1:-1]
-        + padded[2:, 1:-1]
-        + padded[1:-1, :-2]
-        + padded[1:-1, 2:]
-        - 4.0 * arr
-    )
+    _, north, _, west, centre, east, _, south, _ = flat_cells(padded, 3)
+    lap = np.add(north, south)
+    lap += west
+    lap += east
+    lap -= 4.0 * centre
+    return on_grid(lap, padded.shape[1], 3)
 
 
 def _unit_scaled(a: np.ndarray) -> np.ndarray:

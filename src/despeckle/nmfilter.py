@@ -182,7 +182,7 @@ class FilterSpec:
 # centres) array, one row per window cell, into arrays that one filter_image
 # call reuses across its blocks, and the regions are gathered as rows with
 # np.take.  Each region sum adds its rows left to right and the pooled output
-# sums all cells with windows.RowSum (np.sum's order over a row): the orders
+# sums all cells with windows.sum_rows (np.sum's order over a row): the orders
 # in which the output's frozen digests were made.
 #
 # A region passes exactly when its fitted shared looks stay below the looks

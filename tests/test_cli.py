@@ -8,6 +8,7 @@ import pytest
 from despeckle import (
     METRIC_HEADER,
     FilterSpec,
+    InvalidArgumentError,
     LeeSpec,
     Raster,
     RunPlan,
@@ -256,6 +257,17 @@ def test_usage_errors_exit_2(tmp_path, noisy_pair, monkeypatch):
     bad_situation = run("montecarlo", "--fast", "--situations", "7",
                         "--out", str(tmp_path / "x.csv"))
     assert bad_situation == 2
+    # a negative seed or replicate index is refused where it enters
+    assert run("montecarlo", "--fast", "--seed", "-1", "--out", str(tmp_path / "x.csv")) == 2
+    for flag in ("--seed", "--replicate"):
+        assert run("corrupt", "--in", str(ph), "--out", str(tmp_path / "c.raw"),
+                   flag, "-1") == 2
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "c.raw").exists()
+    monkeypatch.setenv("DESPECKLE_SEED", "-3")
+    assert run("montecarlo", "--fast", "--out", str(tmp_path / "x.csv")) == 2
+    monkeypatch.delenv("DESPECKLE_SEED")
+    with pytest.raises(InvalidArgumentError, match="master_seed"):
+        fast_plan(master_seed=-1)
     # a bad test setting is refused before any phantom is rendered
     monkeypatch.setattr(harness, "render_phantom", None)
     bad_beta = run("montecarlo", "--fast", "--filters", "renyi:5", "--beta", "1.5",

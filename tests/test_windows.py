@@ -16,7 +16,9 @@ from despeckle import (
 from despeckle.gamma import into_range
 from despeckle.harness import SITUATIONS, corrupt, make_phantom, replicate_stream
 from despeckle.metrics import Q_CHUNK, Q_WINDOW
-from despeckle.windows import ROW_SUM_MAX, RowSum, cell_views, sum_rows, window_max, window_min
+from despeckle.windows import (
+    ROW_SUM_MAX, flat_cells, on_grid, sum_rows, window_max, window_min,
+)
 
 
 def stream(*key):
@@ -35,21 +37,45 @@ def spread_values(rng, shape):
 # ------------------------------------------------------------ order guard
 
 
+def order_guard_rows(rng, count, n):
+    """(count, n) rows of spread values; with 7 or more rows, row 0 is all -0.0
+    (numpy sums it to 0.0), rows 1-3 hold a +inf, a -inf and a nan cell, and row
+    4 both infinities.  A single row takes one of these shapes by n."""
+    rows = spread_values(rng, (count, n))
+    cases = [(0, -0.0), (1, np.inf), (2, -np.inf), (3, np.nan), (4, np.inf), (4, -np.inf)]
+    if count == 1:
+        cases = [(0, v) for r, v in cases if r == n % 5]
+    for row, value in cases:
+        if row < count:
+            if value == 0.0:
+                rows[row] = value
+            else:
+                rows[row, rng.integers(n)] = value
+    return rows
+
+
 @pytest.mark.parametrize("count", [1, 7, 2048])
 def test_row_sum_is_numpys_row_order(count):
     # a numpy whose pairwise summation changes fails here before any digest
     rng = stream(601, count)
     for n in range(1, ROW_SUM_MAX + 1):
-        rows = spread_values(rng, (count, n))
-        if count > 1:
-            rows[0, :] = -0.0  # numpy sums an all -0.0 row to 0.0
-        want = bits(np.sum(rows, axis=-1))
-        stacked = sum_rows(np.ascontiguousarray(rows.T), np.empty((8, count)))
-        assert np.array_equal(bits(stacked), want), n
-        one_by_one = RowSum(n, np.empty((8, count)))
-        for term in rows.T:
-            one_by_one.add(term)
-        assert np.array_equal(bits(one_by_one.total()), want), n
+        rows = order_guard_rows(rng, count, n)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = bits(np.sum(rows, axis=-1))
+            got = sum_rows(np.ascontiguousarray(rows.T), np.empty((8, count)))
+        assert np.array_equal(bits(got), want), n
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 25, 49, 64, 121, 128])
+def test_row_sum_of_a_strided_stack_is_numpys_row_order(n):
+    # a non-contiguous (n, rows, cols) stack sums as its rows copied out
+    rng = stream(608, n)
+    stack = spread_values(rng, (n, 12, 9))[:, ::2, 1:]
+    stack[:, 0, 0] = -0.0
+    stack[n // 2, 1, 1] = np.nan
+    stack[0, 2, 2] = np.inf
+    want = bits(np.sum(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), axis=-1))
+    assert np.array_equal(bits(sum_rows(stack, np.empty((8, 6, 8)))), want)
 
 
 def test_row_sum_order_differs_from_left_to_right():
@@ -63,12 +89,10 @@ def test_row_sum_order_differs_from_left_to_right():
 
 
 def test_row_sum_checks_its_term_count():
-    with pytest.raises(ValueError):
-        RowSum(ROW_SUM_MAX + 1, np.empty((8, 3)))
-    s = RowSum(9, np.empty((8, 3)))
-    s.add(np.ones(3))
-    with pytest.raises(ValueError):
-        s.total()
+    # numpy splits a row of more than ROW_SUM_MAX terms recursively
+    for n in (0, ROW_SUM_MAX + 1):
+        with pytest.raises(ValueError):
+            sum_rows(np.ones((n, 3)), np.empty((8, 3)))
 
 
 @pytest.mark.parametrize("n", [7, 9, 12, 25])
@@ -86,7 +110,7 @@ def test_cells_major_gather_sums_left_to_right(n):
     assert np.array_equal(bits(got), bits(want))
 
 
-def test_cell_views_and_window_max_follow_the_window_copy():
+def test_flat_cells_and_window_max_follow_the_window_copy():
     # window_max and window_min are separable; nan in a window wins either way
     rng = stream(604)
     a = rng.random((13, 17))
@@ -95,13 +119,54 @@ def test_cell_views_and_window_max_follow_the_window_copy():
     a[5:, 9:] = 0.25  # constant windows
     for size in (5, 8):
         wins = sliding_window_view(a, (size, size))
-        views = cell_views(a, size)
-        for k, view in enumerate(views):
-            assert np.array_equal(view, wins[..., k // size, k % size], equal_nan=True)
-        top, bottom = window_max(a, size), window_min(a, size)
+        cells = flat_cells(a, size)
+        assert np.shares_memory(cells[-1][-1:], a[-1:, -1:])  # the last slice ends at a's end
+        for k, cell in enumerate(cells):
+            assert cell.size == (13 - size) * 17 + 17 - size + 1
+            assert np.array_equal(on_grid(cell, 17, size), wins[..., k // size, k % size],
+                                  equal_nan=True)
+        top = on_grid(window_max(a, size), 17, size)
+        bottom = on_grid(window_min(a, size), 17, size)
         assert np.isnan(top).any() and (bottom == top).any()
         assert np.array_equal(top, wins.max(axis=(2, 3)), equal_nan=True)
         assert np.array_equal(bottom, wins.min(axis=(2, 3)), equal_nan=True)
+
+
+def edge_cases(shape):
+    """Copies of a speckled array with a nan or 1e308 in its last row or its
+    last column, each next to the windows that wrap from one row into the next."""
+    rng = stream(609, *shape)
+    base = rng.gamma(1.0, 1.0, shape)
+    h, w = shape
+    for value in (np.nan, 1e308):
+        for at in ((h - 1, w // 2), (h // 2, w - 1), (h // 2, 0), (h - 1, w - 1)):
+            a = base.copy()
+            a[at] = value
+            yield a
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (8, 8), (9, 13), (14, 8)])
+def test_wrapping_windows_stay_out_of_the_window_extremes(shape):
+    for a in edge_cases(shape):
+        for size in (3, 5, 8):
+            if size > min(shape):
+                continue
+            wins = sliding_window_view(a, (size, size))
+            for fn, ref in ((window_max, wins.max), (window_min, wins.min)):
+                got = on_grid(fn(a, size), shape[1], size)
+                assert np.array_equal(got, ref(axis=(2, 3)), equal_nan=True), (fn, size)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 8), (8, 3), (9, 13)])
+def test_wrapping_windows_stay_out_of_the_laplacian(shape):
+    for a in edge_cases(shape):
+        padded = np.pad(a, 1, mode="reflect")
+        with np.errstate(all="ignore"):
+            want = (padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2]
+                    + padded[1:-1, 2:] - 4.0 * a)
+            got = metrics._laplacian(a)
+        assert got.shape == shape
+        assert np.array_equal(bits(got), bits(want))
 
 
 # ------------------------------------------- copy-based reference statistics
@@ -160,9 +225,11 @@ def assert_q_is_the_reference(x, y):
 
 
 @st.composite
-def patched_images(draw, min_side=8):
+def patched_images(draw, min_side=8, mixed=False):
     """(x, y): a speckled reference and a noisy copy, min_side-40 px a side, with
-    zero and constant patches, scaled by a power of two over the float range."""
+    zero and constant patches, scaled by a power of two over the float range;
+    mixed=True scales up to 3 patches of x by 2^600 or 2^-600 instead, so its
+    windows take different range shifts."""
     h = draw(st.integers(min_side, 40))
     w = draw(st.integers(min_side, 40))
     rng = stream(605, draw(st.integers(0, 2**32 - 1)))
@@ -176,6 +243,12 @@ def patched_images(draw, min_side=8):
     if draw(st.booleans()):
         y[rng.random((h, w)) < 0.2] = 0.0
     k = draw(st.sampled_from([0, 0, -1060, -600, -300, 300, 600, 1000]))
+    if mixed:
+        k, plain = 0, x.copy()
+        for _ in range(draw(st.integers(1, 3))):
+            r, c = rng.integers(0, h), rng.integers(0, w)
+            patch = np.s_[r:r + rng.integers(1, 12), c:c + rng.integers(1, 12)]
+            x[patch] = np.ldexp(plain[patch], draw(st.sampled_from([-600, 600])))
     return np.ldexp(x, k), np.ldexp(y, k)
 
 
@@ -183,8 +256,9 @@ def patched_images(draw, min_side=8):
 @given(data=st.data(), window=st.sampled_from([3, 5, 7, 11]),
        looks=st.sampled_from([1.0, 2.5]))
 def test_lee_equals_the_copied_window_statistics(data, window, looks):
-    # 11x11 is the largest window LeeSpec accepts
-    img = Raster(data.draw(patched_images(min_side=max(8, window)))[0])
+    # 11x11 is the largest window LeeSpec accepts; a side as long as the window
+    # leaves one window row or column, next to the windows that wrap
+    img = Raster(data.draw(patched_images(min_side=window, mixed=data.draw(st.booleans())))[0])
     spec = LeeSpec(window=window, nominal_looks=looks)
     assert np.array_equal(bits(lee_filter(img, spec).array), bits(reference_lee(img, spec)))
 
