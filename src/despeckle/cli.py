@@ -202,23 +202,31 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _entries(flag: str, text: str, parse) -> tuple:
+    """Each non-empty comma-separated entry of text, parsed; a malformed one is
+    a usage error that names the flag and the entry."""
+    out = []
+    for entry in filter(None, map(str.strip, text.split(","))):
+        try:
+            out.append(parse(entry))
+        except ValueError:
+            raise InvalidArgumentError(f"{flag}: malformed entry {entry!r}") from None
+    return tuple(out)
+
+
+def _filter_entry(entry: str) -> tuple:
+    kind, _, window = entry.partition(":")  # kind[:window]
+    return kind, int(window) if window else None
+
+
 def _parse_montecarlo_plan(args) -> RunPlan:
     # --size and --replicates override the profile's defaults only when given
     sizing = {k: v for k, v in (("size", args.size), ("replicates", args.replicates))
               if v is not None}
-    situations = tuple(int(s) for s in args.situations.split(",") if s)
-    levels = tuple(float(s) for s in args.levels.split(",") if s)
-    filters = []
-    for entry in args.filters.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        kind, _, window = entry.partition(":")
-        filters.append((kind, int(window) if window else None))
     return (fast_plan if args.fast else RunPlan)(
-        situations=situations,
-        filters=tuple(filters),
-        levels=levels,
+        situations=_entries("--situations", args.situations, int),
+        filters=_entries("--filters", args.filters, _filter_entry),
+        levels=_entries("--levels", args.levels, float),
         master_seed=_seed(args.seed),
         dof=args.dof,
         shared_looks=args.shared,

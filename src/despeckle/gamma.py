@@ -121,8 +121,7 @@ def sample(p: GammaParams, n: int, stream: np.random.Generator) -> np.ndarray:
 
 def unit_speckle(looks: float, shape: tuple, stream: np.random.Generator) -> np.ndarray:
     """Unit-mean speckle field Gamma(L, L) of the given array shape."""
-    n = int(np.prod(shape))
-    return (_gamma_shape_ge1(looks, n, stream) / looks).reshape(shape)
+    return (_gamma_shape_ge1(looks, math.prod(shape), stream) / looks).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -180,36 +179,30 @@ def _dispersion_gap(looks):
     return np.log(looks) - special.digamma(looks)
 
 
-def solve_looks(rhs) -> np.ndarray:
-    """Solve ln L - digamma(L) = rhs for L, element-wise, on [1, L_MAX].
+_GAP_AT_ONE, _GAP_AT_L_MAX = _dispersion_gap(1.0), _dispersion_gap(L_MAX)  # the clamps
+
+
+def solve_looks(rhs: float) -> float:
+    """Solve ln L - digamma(L) = rhs for L on [1, L_MAX], on one float.
 
     rhs at or above the L=1 value clamps to 1, at or below the L_MAX value to
-    L_MAX.  The rest bisects [1, L_MAX] until a step would move no bound:
-    equal bounds give an equal step, so every later step would repeat it.  The
+    L_MAX.  The rest bisects [1, L_MAX] until a step would move no bound, which
+    gives the double of a fixed 200 steps: equal bounds repeat the step.  The
     loop ends because mid = (lo + hi) / 2 rounds into [lo, hi], so lo only
     rises and hi only falls; each step halves a bracket until its bounds are
     adjacent doubles, ~66 halvings of [1, L_MAX].
     """
-    rhs_arr = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
-    out = np.empty_like(rhs_arr)
-    at_low = rhs_arr >= _dispersion_gap(1.0)
-    at_high = rhs_arr <= _dispersion_gap(L_MAX)
-    out[at_low] = 1.0
-    out[at_high] = L_MAX
-    todo = ~(at_low | at_high)
-    lo = np.full(int(todo.sum()), 1.0)
-    hi = np.full(lo.shape, L_MAX)
-    target = rhs_arr[todo]
+    if rhs >= _GAP_AT_ONE:
+        return 1.0
+    if rhs <= _GAP_AT_L_MAX:
+        return L_MAX
+    lo, hi = 1.0, L_MAX
     while True:
         mid = 0.5 * (lo + hi)
-        # objective decreasing: value above target means the root is right of mid
-        go_right = _dispersion_gap(mid) > target
-        if np.all(mid == np.where(go_right, lo, hi)):
-            break  # no bound would move
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    out[todo] = 0.5 * (lo + hi)
-    return out if np.ndim(rhs) else out[0]
+        right = _dispersion_gap(mid) > rhs  # the gap decreases: the root lies right of mid
+        if mid == (lo if right else hi):
+            return mid  # no bound would move
+        lo, hi = (mid, hi) if right else (lo, mid)
 
 
 # For L >= 1, 1/(2L) < ln L - digamma(L) < 1/L (H. Alzer, Math. Comp. 66
@@ -280,5 +273,4 @@ def mle(values) -> FitResult:
     if rhs <= 0.0:
         # zero log-dispersion (constant sample, up to rounding)
         return FitResult(GammaParams(L_MAX, lam), degenerate=True, zero_shifted=zero_shifted)
-    looks = float(solve_looks(rhs))
-    return FitResult(GammaParams(looks, lam), zero_shifted=zero_shifted)
+    return FitResult(GammaParams(solve_looks(rhs), lam), zero_shifted=zero_shifted)

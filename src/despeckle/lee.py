@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .gamma import range_shift
-from .raster import Raster, pad_mirror
+from .raster import Raster
 from .windows import ROW_SUM_MAX, flat_cells, on_grid, window_max, window_moments
 
 
@@ -49,7 +49,7 @@ def lee_filter(img: Raster, spec: LeeSpec) -> Raster:
         raise InvalidArgumentError(
             f"image {img.height}x{img.width} smaller than the {size}x{size} window"
         )
-    padded = pad_mirror(img, size // 2).array
+    padded = np.pad(img.array, size // 2, mode="reflect")
     shift = range_shift(padded.min(), padded.max(), lambda: window_max(padded, size))
     mean, var = window_moments(padded, size, shift)
     centre = flat_cells(padded, size)[size * size // 2]  # the image's pixels

@@ -27,6 +27,7 @@ diagram.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,7 @@ from .divergence import (
 )
 from .errors import InvalidArgumentError, OutOfBoundsError
 from .gamma import looks_below, range_shift, shift_zeros, solve_looks
-from .raster import Raster, pad_mirror
+from .raster import Raster
 from .windows import sum_rows
 
 REGION_NAMES = (
@@ -241,7 +242,7 @@ class _Buffers:
         self._zero_parts = None
 
     def get(self, name: str, *shape) -> np.ndarray:
-        return self._parts[name][:np.prod(shape)].reshape(shape)
+        return self._parts[name][:math.prod(shape)].reshape(shape)
 
     def zero_parts(self, cells: int, count: int) -> list:
         """The (cells, count) result and bool mask of shift_zeros, made at the
@@ -363,7 +364,7 @@ def filter_image(img: Raster, spec: FilterSpec) -> Raster:
         raise InvalidArgumentError(
             f"image {img.height}x{img.width} smaller than the {spec.window}x{spec.window} window"
         )
-    padded = pad_mirror(img, spec.window // 2).array
+    padded = np.pad(img.array, spec.window // 2, mode="reflect")
     plan = _plan(spec)
     rows = max(1, BLOCK_PIXELS // img.width)
     buffers = _Buffers(plan, rows * img.width)

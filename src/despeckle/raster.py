@@ -84,8 +84,6 @@ def pad_mirror(img: Raster, margin: int) -> Raster:
     """
     if margin < 0:
         raise InvalidArgumentError("margin must be >= 0")
-    if margin == 0:
-        return Raster(img.array)
     if margin >= min(img.width, img.height):
         raise InvalidArgumentError(
             f"margin {margin} too large for {img.height}x{img.width} raster"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy import special
 
-from despeckle import cli, read_csv_rows
+from despeckle import L_MAX, cli, read_csv_rows
 
 FAST_SEED = 0
 
@@ -32,3 +33,21 @@ def median_of(rows, col, **match):
                 picked.append(float(row[col]))
     assert picked, f"no rows match {match}"
     return float(np.median(picked))
+
+
+def bisect_200(rhs):
+    """The looks that solve ln L - digamma(L) = rhs, element-wise: solve_looks
+    as first written, a fixed 200 bisection steps on arrays."""
+    gap = lambda L: np.log(L) - special.digamma(L)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    out = np.empty_like(rhs)
+    at_low, at_high = rhs >= gap(1.0), rhs <= gap(L_MAX)
+    out[at_low], out[at_high] = 1.0, L_MAX
+    todo = ~(at_low | at_high)
+    lo, hi, target = np.full(todo.sum(), 1.0), np.full(todo.sum(), L_MAX), rhs[todo]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        go_right = gap(mid) > target
+        lo, hi = np.where(go_right, mid, lo), np.where(go_right, hi, mid)
+    out[todo] = 0.5 * (lo + hi)
+    return out

@@ -233,7 +233,7 @@ def test_montecarlo_refuses_an_empty_or_repeated_list(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_usage_errors_exit_2(tmp_path, noisy_pair, monkeypatch):
+def test_usage_errors_exit_2(tmp_path, noisy_pair, monkeypatch, capsys):
     ph, noisy = noisy_pair
     with pytest.raises(SystemExit) as err:
         run("filter", "--in", str(noisy), "--out", str(tmp_path / "x.raw"), "--bogus")
@@ -257,6 +257,13 @@ def test_usage_errors_exit_2(tmp_path, noisy_pair, monkeypatch):
     bad_situation = run("montecarlo", "--fast", "--situations", "7",
                         "--out", str(tmp_path / "x.csv"))
     assert bad_situation == 2
+    # a malformed entry of a list flag is refused, not an internal error
+    capsys.readouterr()
+    for flag, value, entry in (("--situations", "1,x", "x"), ("--levels", "abc", "abc"),
+                               ("--filters", "lee:abc", "lee:abc"),
+                               ("--filters", "lee:5:7", "lee:5:7")):
+        assert run("montecarlo", "--fast", flag, value, "--out", str(tmp_path / "x.csv")) == 2
+        assert f"despeckle: {flag}: malformed entry {entry!r}" in capsys.readouterr().err
     # a negative seed or replicate index is refused where it enters
     assert run("montecarlo", "--fast", "--seed", "-1", "--out", str(tmp_path / "x.csv")) == 2
     for flag in ("--seed", "--replicate"):

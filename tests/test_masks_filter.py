@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
+from conftest import bisect_200
 from despeckle import (
     FilterSpec,
     GammaParams,
@@ -363,9 +364,9 @@ def _solved_decisions(w, cfg, central, gathers):
     if cfg.shared_looks == "pooled":
         pooled = np.concatenate([np.repeat(w[:, None, central], 8, axis=1), w[:, gathers]], axis=2)
         rhs = np.log(pooled.sum(axis=2) / (m1 + ni)) - np.log(pooled).sum(axis=2) / (m1 + ni)
-        shared = solve_looks(rhs)
+        shared = bisect_200(rhs)
     else:
-        shared = solve_looks(rhs1)[:, None]
+        shared = bisect_200(rhs1)[:, None]
     args = (mean1[:, None], mean_i, m1, ni, shared)
     if cfg.kind == "hellinger":
         stat = hellinger_stat_array(*args)
