@@ -51,10 +51,12 @@ def _add_format(p):
                    help="raster file format (default raw)")
 
 
-def _geometry_for(args, size):
-    if getattr(args, "geometry", None):
-        return read_geometry(args.geometry)
-    return default_geometry(size)
+def _geometry(path, size=None):
+    """The geometry file at path when given, else the built-in geometry of
+    size when given, else None."""
+    if path:
+        return read_geometry(path)
+    return default_geometry(size) if size else None
 
 
 def _join(values) -> str:
@@ -141,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geometry", help="geometry file replacing the built-in layout")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes, forked (POSIX only), one (situation, replicate)"
-                        " task at a time; 1 runs in this process (default 1)")
+                        " task at a time, at most one per usable CPU; 1 runs in this process"
+                        " (default 1)")
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("masks", help="print the committed region mask tables")
@@ -152,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_phantom(args) -> int:
-    geom = _geometry_for(args, args.size)
+    geom = _geometry(args.geometry, args.size)
     img = make_phantom(geom, SITUATIONS[args.situation])
     write_raster(img, args.out, args.format)
     return 0
@@ -190,12 +193,7 @@ def cmd_filter(args) -> int:
 def cmd_evaluate(args) -> int:
     ref = read_raster(args.ref, args.format)
     test = read_raster(args.test, args.format)
-    geom = None
-    if args.geometry:
-        geom = read_geometry(args.geometry)
-    elif args.geometry_size:
-        geom = default_geometry(args.geometry_size)
-    report = compute_report(ref, test, geom)
+    report = compute_report(ref, test, _geometry(args.geometry, args.geometry_size))
     print(f"# despeckle evaluate --ref {args.ref} --test {args.test}")
     print(METRIC_HEADER)
     print(report.as_csv_row())
@@ -237,8 +235,7 @@ def _parse_montecarlo_plan(args) -> RunPlan:
 
 def cmd_montecarlo(args) -> int:
     plan = _parse_montecarlo_plan(args)
-    geom = read_geometry(args.geometry) if args.geometry else None
-    rows = run_protocol(plan, geom, threads=args.threads)
+    rows = run_protocol(plan, _geometry(args.geometry), threads=args.threads)
     # echo the plan-defining flags (threads and paths do not change results)
     echo = (
         "despeckle montecarlo"
@@ -270,10 +267,7 @@ def main(argv=None) -> int:
         print(parser.format_usage(), end="", file=sys.stderr)
         print(f"despeckle: {exc}", file=sys.stderr)
         return 2
-    except DespeckleError as exc:
-        print(f"despeckle: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DespeckleError, OSError) as exc:
         print(f"despeckle: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - unexpected failure guard

@@ -16,6 +16,7 @@ Rows are sorted before writing, making the CSV byte-stable.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -28,7 +29,7 @@ from .errors import DomainError, InvalidArgumentError
 from .gamma import unit_speckle
 from .lee import LeeSpec, lee_filter
 # compute_report stays bound here, unread: perfbench's traced run rebinds it by name
-from .metrics import MetricReport, Reference, compute_report
+from .metrics import MetricReport, Reference, compute_report, csv_cell
 from .nmfilter import FilterSpec, filter_image
 from .phantom import PhantomGeometry, default_geometry, render_phantom
 from .raster import Raster
@@ -192,6 +193,14 @@ def _worker_rows(task):
     return _replicate_rows(*_worker_protocol, task)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (os.cpu_count() where the affinity
+    call is missing)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_protocol(plan: RunPlan, geom: PhantomGeometry | None = None, threads: int = 1) -> list:
     """Execute the plan and return unsorted result rows (dicts).
 
@@ -199,13 +208,14 @@ def run_protocol(plan: RunPlan, geom: PhantomGeometry | None = None, threads: in
     the phantom's side of the metrics, and each replicate scores all of its
     filtered images against it in one Reference.reports call.  Replicates are
     independent tasks; `threads` only controls how they are scheduled, never
-    the numbers produced.  With one worker the tasks run in this process.
-    With more, each of min(threads, tasks) workers is a process forked from
-    this one (the "fork" start method, so POSIX only), handed the plan and the
-    references once, and sent (situation, replicate) pairs; a worker's
-    exception reaches the caller with its class and message.  Python 3.12 and
-    later may warn (DeprecationWarning) that forking a process with live
-    threads can deadlock: numpy's OpenBLAS starts native threads at import.
+    the numbers produced.  It uses min(threads, tasks, CPUs) workers, counting
+    the CPUs this process may run on.  With one worker the tasks run in this
+    process.  With more, each worker is a process forked from this one (the
+    "fork" start method, so POSIX only), handed the plan and the references
+    once, and sent (situation, replicate) pairs; a worker's exception reaches
+    the caller with its class and message.  Python 3.12 and later may warn
+    (DeprecationWarning) that forking a process with live threads can
+    deadlock: numpy's OpenBLAS starts native threads at import.
     """
     if threads < 1:
         raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
@@ -216,7 +226,7 @@ def run_protocol(plan: RunPlan, geom: PhantomGeometry | None = None, threads: in
     references = {sid: Reference(make_phantom(geom, SITUATIONS[sid]), geom)
                   for sid in plan.situations}
     tasks = [(sid, rep) for sid in plan.situations for rep in range(plan.replicates)]
-    workers = min(threads, len(tasks))
+    workers = min(threads, len(tasks), _usable_cpus())
     if workers <= 1:
         chunks = list(map(partial(_replicate_rows, plan, references), tasks))
     else:
@@ -246,9 +256,7 @@ def _row_to_csv(row) -> str:
         str(row["situation"]),
         str(row["replicate"]),
     ]
-    for name in CSV_COLUMNS[5:]:
-        value = getattr(report, name)
-        cells.append("NA" if value is None else repr(float(value)))
+    cells.extend(csv_cell(getattr(report, name)) for name in CSV_COLUMNS[5:])
     return ",".join(cells)
 
 

@@ -365,10 +365,12 @@ class MetricReport:
     dcon: float | None = None
 
     def as_csv_row(self) -> str:
-        return ",".join(
-            "NA" if v is None else repr(float(v))
-            for v in (getattr(self, f.name) for f in dataclass_fields(self))
-        )
+        return ",".join(csv_cell(getattr(self, f.name)) for f in dataclass_fields(self))
+
+
+def csv_cell(value) -> str:
+    """A metric's CSV cell: NA for None, else the float's repr."""
+    return "NA" if value is None else repr(float(value))
 
 
 METRIC_HEADER = ",".join(f.name for f in dataclass_fields(MetricReport))

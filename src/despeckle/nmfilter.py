@@ -225,32 +225,26 @@ class _Buffers:
     see and then the covered cells, "gather" each gather of rows in turn,
     "tests" four (8, c) arrays of the region tests, "accepted" the (9, c)
     acceptance, "row" the (c,) sums and means of the tests and of the output,
-    and "mask" the bool masks.  The float parts share one allocation: once
-    freed it raises glibc's dynamic mmap threshold above its size, so later
-    calls take it from the heap instead of faulting in fresh pages."""
+    "shifted" the windows shift_zeros gives, "mask" the bool masks and "zero"
+    shift_zeros' mask.  The float parts share one allocation, the bool parts
+    another; the zero-shift parts come last in each, so a zero-free image never
+    touches their pages.  Once freed, the float allocation raises glibc's
+    dynamic mmap threshold above its size, so later calls take it from the
+    heap instead of faulting in fresh pages."""
 
     def __init__(self, plan, centres: int):
         _, gathers, indicators, _ = plan
         cells = len(indicators)
-        rows = {"win": cells, "log": cells, "gather": gathers.size, "tests": 4 * 8,
-                "accepted": 9, "row": 8}
-        flat = np.empty(sum(rows.values()) * centres)
-        ends = np.cumsum(list(rows.values()))[:-1] * centres
-        self._parts = dict(zip(rows, np.split(flat, ends)))
-        self._parts["mask"] = np.empty(2 * 8 * centres, dtype=bool)
-        self._centres = centres
-        self._zero_parts = None
+        self._parts = {}
+        for dtype, rows in ((float, {"win": cells, "log": cells, "gather": gathers.size,
+                                     "tests": 4 * 8, "accepted": 9, "row": 8, "shifted": cells}),
+                            (bool, {"mask": 2 * 8, "zero": cells})):
+            flat = np.empty(sum(rows.values()) * centres, dtype=dtype)
+            ends = np.cumsum(list(rows.values()))[:-1] * centres
+            self._parts.update(zip(rows, np.split(flat, ends)))
 
     def get(self, name: str, *shape) -> np.ndarray:
         return self._parts[name][:math.prod(shape)].reshape(shape)
-
-    def zero_parts(self, cells: int, count: int) -> list:
-        """The (cells, count) result and bool mask of shift_zeros, made at the
-        first block that holds a zero, so a zero-free image never allocates them."""
-        if self._zero_parts is None:
-            self._zero_parts = (np.empty(cells * self._centres),
-                                np.empty(cells * self._centres, dtype=bool))
-        return [part[:cells * count].reshape(cells, count) for part in self._zero_parts]
 
 
 def _gather(a: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -320,7 +314,7 @@ def _filter_block(padded: np.ndarray, first: int, last: int, spec: FilterSpec, p
     logz = buffers.get("log", cells, count)
     z = win
     if lowest == 0.0:
-        shifted, zero = buffers.zero_parts(cells, count)
+        shifted, zero = buffers.get("shifted", cells, count), buffers.get("zero", cells, count)
         z = shift_zeros(win.T, out=shifted.T, work=logz.T, mask=zero.T).T
     np.log(z, out=logz)
     rhs1, accepted = _region_tests(z, logz, spec.test, reach, central, gathers, buffers)

@@ -207,8 +207,6 @@ def read_geometry(path) -> PhantomGeometry:
             points=points,
             background=tuple(int(v) for v in fields["background"].split()),
         )
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"geometry file: {exc}") from exc
-    except InvalidArgumentError as exc:
+    except (ValueError, TypeError) as exc:  # InvalidArgumentError is a ValueError
         raise FormatError(f"geometry file: {exc}") from exc
     return geom

@@ -9,8 +9,8 @@ FAST_SEED = 0
 
 @pytest.fixture(scope="session")
 def fast_run(tmp_path_factory):
-    """One full --fast protocol, run twice: in-process (--threads 1) and on 4
-    forked worker processes (--threads 4).
+    """One full --fast protocol, run twice: in-process (--threads 1) and with
+    --threads 4, which forks min(4, usable CPUs) worker processes.
 
     Several acceptance checks share this: the CSVs must be byte-identical,
     and the in-process rows carry the ENL / Q / edge-variance medians.
@@ -37,7 +37,10 @@ def median_of(rows, col, **match):
 
 def bisect_200(rhs):
     """The looks that solve ln L - digamma(L) = rhs, element-wise: solve_looks
-    as first written, a fixed 200 bisection steps on arrays."""
+    as first written, a fixed 200 bisection steps on arrays.  The loop stops
+    early at the first step that moves no bound in any element: that step
+    leaves the state the next one starts from unchanged, so every later step
+    repeats it, and the result is exactly the 200-step one."""
     gap = lambda L: np.log(L) - special.digamma(L)
     rhs = np.asarray(rhs, dtype=np.float64)
     out = np.empty_like(rhs)
@@ -48,6 +51,9 @@ def bisect_200(rhs):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         go_right = gap(mid) > target
-        lo, hi = np.where(go_right, mid, lo), np.where(go_right, hi, mid)
+        moved_lo, moved_hi = np.where(go_right, mid, lo), np.where(go_right, hi, mid)
+        if np.array_equal(moved_lo, lo) and np.array_equal(moved_hi, hi):
+            break
+        lo, hi = moved_lo, moved_hi
     out[todo] = 0.5 * (lo + hi)
     return out

@@ -182,6 +182,19 @@ def test_evaluate_rejects_a_geometry_of_another_size(noisy_pair, capsys):
     assert "geometry size 128" in captured.err and "Traceback" not in captured.err
 
 
+def test_evaluate_images_too_small_for_q(tmp_path, capsys):
+    # no 8x8 window fits a 5x5 pair: Q is NA, the run still succeeds
+    rng = np.random.default_rng(11)
+    ref, test = tmp_path / "ref.raw", tmp_path / "test.raw"
+    write_raster(Raster(rng.uniform(50.0, 150.0, (5, 5))), ref, "raw")
+    write_raster(Raster(rng.uniform(50.0, 150.0, (5, 5))), test, "raw")
+    assert run("evaluate", "--ref", str(ref), "--test", str(test)) == 0
+    cells = dict(zip(METRIC_HEADER.split(","), capsys.readouterr().out.splitlines()[2].split(",")))
+    assert cells["q_mean"] == cells["q_std"] == "NA"
+    for name in ("enl", "beta_rho", "mae", "mse", "nmse", "dcon"):
+        assert np.isfinite(float(cells[name])), name
+
+
 def test_masks_subcommand(capsys):
     assert run("masks", "--window", "7") == 0
     out = capsys.readouterr().out

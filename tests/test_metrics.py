@@ -373,6 +373,23 @@ def test_compute_report_turns_failures_into_na():
     assert report.as_csv_row() == ",".join(["NA"] * 11)
 
 
+def test_reports_of_images_too_small_for_q():
+    # Q needs one 8x8 window, so the Reference holds no Q side and the batch
+    # falls back to scoring each test alone; beta-rho needs 3x3 Laplacians
+    rng = stream(317)
+    for side in (5, 2):
+        ref = Raster(rng.uniform(50.0, 150.0, (side, side)))
+        tests = [Raster(rng.uniform(50.0, 150.0, (side, side))) for _ in range(2)]
+        batch = metrics_module.Reference(ref).reports(tests)
+        alone = [compute_report(ref, test) for test in tests]
+        assert [r.as_csv_row() for r in batch] == [r.as_csv_row() for r in alone]
+        for report in batch:
+            assert report.q_mean is None and report.q_std is None
+            assert (report.beta_rho is None) == (side < 3)
+            for value in (report.enl, report.mae, report.mse, report.nmse, report.dcon):
+                assert value is not None and math.isfinite(value)
+
+
 def test_compute_report_lets_programming_errors_through(monkeypatch):
     # only metric failures (package and floating-point errors) become NA
     def broken(x, y):

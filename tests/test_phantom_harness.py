@@ -106,6 +106,29 @@ def test_geometry_rejects_bad_points_and_diag():
         geom_with(diag=(100, 100, 40))
 
 
+BAD_GEOMETRY = (
+    ({"hline": (52, 8, 200)}, "hline .* out of bounds"),
+    ({"vline": (60, 60, 200)}, "vline .* out of bounds"),
+    ({"background": (8, 8, 48, 200)}, "background .* out of bounds"),
+    ({"background": (8, 8, 9, 11)}, "background region too small"),
+)
+
+
+@pytest.mark.parametrize("overrides,message", BAD_GEOMETRY)
+def test_geometry_rejects_bad_lines_and_background(tmp_path, overrides, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        geom_with(**overrides)
+    # the same layout in a file is a format error with the same message
+    path = tmp_path / "geom.txt"
+    write_geometry(default_geometry(128), path)
+    key, values = next(iter(overrides.items()))
+    old = " ".join(map(str, getattr(default_geometry(128), key)))
+    new = " ".join(map(str, values))
+    path.write_text(path.read_text().replace(f"{key} = {old}", f"{key} = {new}"))
+    with pytest.raises(FormatError, match=f"geometry file: {message}"):
+        read_geometry(path)
+
+
 def test_feature_mask_and_accessors_agree():
     geom = default_geometry(128)
     mask = geom.feature_mask()
@@ -354,6 +377,39 @@ def test_run_protocol_thread_count_is_invisible(tmp_path):
             assert multiprocessing.active_children() == [], threads
             csvs.append(path.read_bytes())
     assert csvs[1:] == csvs[:1] * 3
+
+
+def test_run_protocol_caps_workers_at_the_usable_cpus(monkeypatch, tmp_path):
+    # no process starts: the pool is a fake that records its size and runs
+    # the tasks here, through the same worker initializer
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    plan = dataclasses.replace(tiny_plan(), situations=(1, 2, 3, 4), filters=(("input", None),))
+    write_csv(run_protocol(plan), tmp_path / "t1.csv")
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness, "_worker_protocol", None)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    write_csv(run_protocol(plan, threads=64), tmp_path / "t64.csv")
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    write_csv(run_protocol(plan, threads=64), tmp_path / "t64-no-affinity.csv")
+    assert sizes == [2, 3]
+    for name in ("t64.csv", "t64-no-affinity.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "t1.csv").read_bytes()
 
 
 # Two levels: input and lee:5 give one image at both, hellinger:5 one at each.

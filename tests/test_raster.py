@@ -157,6 +157,17 @@ def test_pgm_linear_quantization(tmp_path):
     assert list(back.array[0]) == [0.0, 32768.0, 65535.0]
 
 
+def test_pgm_header_comments_are_skipped(tmp_path):
+    path = tmp_path / "ramp.pgm"
+    write_raster(Raster([[0.0, 50.0, 100.0], [25.0, 75.0, 10.0]]), path, "pgm")
+    header = b"P5\n3 2\n65535\n"
+    blob = path.read_bytes()
+    assert blob.startswith(header)
+    commented = tmp_path / "commented.pgm"
+    commented.write_bytes(b"P5\n# a comment\n3 2\n#another\n65535\n" + blob[len(header):])
+    assert np.array_equal(read_raster(commented, "pgm").array, read_raster(path, "pgm").array)
+
+
 def test_read_errors(tmp_path):
     bad = tmp_path / "bad"
     bad.write_text("not a raster\n")
