@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=spec.test.alpha,
                    help="overall significance of the 8-test series (default %(default)s)")
     p.add_argument("--beta", type=float, default=spec.test.renyi_order,
-                   help="Renyi order in (0,1)")
+                   help="Renyi order in [2**-53, 1)")
     p.add_argument("--looks", type=float, default=LeeSpec().nominal_looks,
                    help="nominal looks for the lee filter (default %(default)s)")
     p.add_argument("--dof", type=int, choices=(1, 2), default=spec.test.dof)

@@ -35,6 +35,12 @@ KINDS = ("hellinger", "kl", "renyi")
 # The filter tests each of the eight oriented regions against the central block.
 NUM_TESTS = 8
 
+# The least Renyi order, the spacing of the doubles just below 1: a smaller
+# beta barely moves 1 - beta off 1, so the rate's log term is rounding noise,
+# and a subnormal one overflows the 1 / (beta (beta - 1)) factor to -inf,
+# which times a zero log term is nan.
+MIN_RENYI_ORDER = 2.0**-53
+
 
 @dataclass(frozen=True)
 class TestConfig:
@@ -56,8 +62,8 @@ class TestConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidArgumentError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.kind == "renyi" and not 0.0 < self.renyi_order < 1.0:
-            raise InvalidArgumentError("renyi_order must be in (0, 1)")
+        if self.kind == "renyi" and not MIN_RENYI_ORDER <= self.renyi_order < 1.0:
+            raise InvalidArgumentError("renyi_order must be in [2**-53, 1)")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidArgumentError("alpha must be in (0, 1)")
         if self.dof not in (1, 2):
@@ -109,8 +115,8 @@ def renyi_stat(
     p1: GammaParams, pi: GammaParams, m: int, n: int, shared_L: float, beta: float = 0.5
 ) -> float:
     """renyi_stat_array on one validated pair of fits."""
-    if not 0.0 < beta < 1.0:
-        raise InvalidArgumentError("beta must be in (0, 1)")
+    if not MIN_RENYI_ORDER <= beta < 1.0:
+        raise InvalidArgumentError("beta must be in [2**-53, 1)")
     _check_stat_inputs(p1.mean, pi.mean, m, n, shared_L)
     return float(renyi_stat_array(p1.mean, pi.mean, m, n, shared_L, beta))
 

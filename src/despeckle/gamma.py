@@ -169,7 +169,7 @@ def shift_zeros(z, out=None, work=None, mask=None) -> np.ndarray:
     lowest = work.min(axis=-1, keepdims=True)
     lowest[np.isinf(lowest)] = 1.0
     np.copyto(out, z)
-    np.copyto(out, np.maximum(ZERO_SHIFT * lowest, np.nextafter(0.0, 1.0)),
+    np.copyto(out, np.maximum(ZERO_SHIFT * lowest, np.finfo(float).smallest_subnormal),
               where=np.equal(z, 0.0, out=zero))
     return out
 

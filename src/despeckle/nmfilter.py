@@ -90,46 +90,35 @@ _NE_SEED = {
 }
 
 
+def _geometry(window: int) -> tuple:
+    """A window's nine region masks (the central block, then the seeds and
+    their rotations N, NE, E, SE, S, SW, W, NW) and the engine's read-only form
+    of them, cells numbered row-major: the central gather, the (8, n) oriented
+    gathers and the cells x 9 indicator."""
+    half = window // 2
+    inner = range(1 - half, half)
+    regions = [tuple((r, c) for r in inner for c in inner), _N_SEED[window], _NE_SEED[window]]
+    for _ in range(3):
+        regions += [_rot90cw(regions[-2]), _rot90cw(regions[-1])]
+    masks = tuple(RegionMask(i + 1, offs) for i, offs in enumerate(regions))
+    index = [np.array([(r + half) * window + c + half for r, c in offs]) for offs in regions]
+    central, gathers = index[0], np.array(index[1:])
+    indicators = np.zeros((window * window, 9))
+    for i, cells in enumerate(index):
+        indicators[cells, i] = 1.0
+    for a in (central, gathers, indicators):
+        a.setflags(write=False)
+    return masks, (central, gathers, indicators)
+
+
+_GEOMETRY = {window: _geometry(window) for window in (5, 7)}  # built once, at import
+
+
 def nm_masks(window: int) -> tuple:
     """The nine committed region masks for a 5x5 or 7x7 window."""
     if window not in (5, 7):
         raise InvalidArgumentError(f"window must be 5 or 7, got {window}")
-    half = window // 2
-    center_half = half - 1
-    center = tuple(
-        (r, c)
-        for r in range(-center_half, center_half + 1)
-        for c in range(-center_half, center_half + 1)
-    )
-    north = _N_SEED[window]
-    northeast = _NE_SEED[window]
-    east = _rot90cw(north)
-    south = _rot90cw(east)
-    west = _rot90cw(south)
-    southeast = _rot90cw(northeast)
-    southwest = _rot90cw(southeast)
-    northwest = _rot90cw(southwest)
-    ordered = (center, north, northeast, east, southeast, south, southwest, west, northwest)
-    masks = tuple(RegionMask(i + 1, offs) for i, offs in enumerate(ordered))
-    _check_table(masks, window)
-    return masks
-
-
-def _check_table(masks, window):
-    half = window // 2
-    peripheral = 7 if window == 5 else 12
-    central = (window - 2) ** 2
-    assert len(masks[0].offsets) == central
-    covered = set(masks[0].offsets)
-    for mask in masks[1:]:
-        assert len(mask.offsets) == peripheral
-        assert len(set(mask.offsets)) == peripheral
-        covered.update(mask.offsets)
-    for mask in masks:
-        for r, c in mask.offsets:
-            assert abs(r) <= half and abs(c) <= half
-    # the nine regions jointly cover the whole window
-    assert len(covered) == window * window
+    return _GEOMETRY[window][0]
 
 
 def mask_table_text(window: int) -> str:
@@ -207,14 +196,7 @@ BLOCK_PIXELS = 2048
 def _plan(spec: FilterSpec):
     """The central gather, the (8, n) oriented gathers, the cells x 9 indicator
     and the tests' threshold_reach."""
-    half = spec.window // 2
-    cells = [(r, c) for r in range(-half, half + 1) for c in range(-half, half + 1)]
-    index = {off: i for i, off in enumerate(cells)}
-    gathers = np.array([[index[off] for off in m.offsets] for m in spec.masks[1:]])
-    central = np.array([index[off] for off in spec.masks[0].offsets])
-    indicators = np.zeros((len(cells), 9))
-    for i, g in enumerate([central, *gathers]):
-        indicators[g, i] = 1.0
+    central, gathers, indicators = _GEOMETRY[spec.window][1]
     return central, gathers, indicators, threshold_reach(spec.test, central.size, gathers.shape[1])
 
 

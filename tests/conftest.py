@@ -35,6 +35,11 @@ def median_of(rows, col, **match):
     return float(np.median(picked))
 
 
+def stream(*key):
+    """A generator seeded by the key's integers, one stream per key."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
 def bisect_200(rhs):
     """The looks that solve ln L - digamma(L) = rhs, element-wise: solve_looks
     as first written, a fixed 200 bisection steps on arrays.  The loop stops

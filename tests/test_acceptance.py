@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaincc
 
-from conftest import bisect_200, median_of
+from conftest import bisect_200, median_of, stream
 from despeckle import (
     GammaParams,
     Raster,
@@ -32,15 +32,11 @@ from despeckle import (
     sidak_level,
     unit_speckle,
 )
-from despeckle.divergence import hellinger_stat_array, kl_stat_array, renyi_stat_array
+from despeckle.divergence import statistic_array
 
 LOOKS_AND_MEANS = ((1.0, 200.0), (3.0, 195.0), (5.0, 150.0), (7.0, 170.0))
 ALPHAS = (0.2, 0.1, 0.01)
 GROUP = 49  # pixels per region in the two-sample trials
-
-
-def stream(*key):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
 def two_sample_trials(rng, looks, lam1, lam2, trials):
@@ -57,7 +53,7 @@ def test_criterion_01_null_calibration():
     # its nominal per-test rate, within 3 binomial standard errors
     trials = 10_000
     mean1, mean2, looks = two_sample_trials(stream(20260814), 3.0, 195.0, 195.0, trials)
-    stat = hellinger_stat_array(mean1, mean2, GROUP, GROUP, looks)
+    stat = statistic_array("hellinger", mean1, mean2, GROUP, GROUP, looks)
     p = gammaincc(0.5, stat / 2.0)
     for alpha in ALPHAS:
         eta = sidak_level(alpha, 8)
@@ -194,9 +190,9 @@ def test_criterion_10_decision_agreement():
         mean1, mean2, looks = two_sample_trials(
             stream(10, j), 3.0, 195.0, 195.0 * ratio, trials
         )
-        s_h = hellinger_stat_array(mean1, mean2, GROUP, GROUP, looks)
-        s_k = kl_stat_array(mean1, mean2, GROUP, GROUP, looks)
-        s_r = renyi_stat_array(mean1, mean2, GROUP, GROUP, looks, 0.5)
+        s_h = statistic_array("hellinger", mean1, mean2, GROUP, GROUP, looks)
+        s_k = statistic_array("kl", mean1, mean2, GROUP, GROUP, looks)
+        s_r = statistic_array("renyi", mean1, mean2, GROUP, GROUP, looks, 0.5)
         p_h, p_k, p_r = (gammaincc(0.5, s / 2.0) for s in (s_h, s_k, s_r))
         for alpha in ALPHAS:
             eta = sidak_level(alpha, 8)

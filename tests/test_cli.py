@@ -1,9 +1,15 @@
+import contextlib
 import dataclasses
+import io
+import os
 import struct
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from despeckle import (
     METRIC_HEADER,
@@ -16,6 +22,7 @@ from despeckle import (
     fast_plan,
     harness,
     read_raster,
+    unit_speckle,
     write_raster,
 )
 from despeckle.harness import read_csv_rows
@@ -293,6 +300,10 @@ def test_usage_errors_exit_2(tmp_path, noisy_pair, monkeypatch, capsys):
     bad_beta = run("montecarlo", "--fast", "--filters", "renyi:5", "--beta", "1.5",
                    "--out", str(tmp_path / "x.csv"))
     assert bad_beta == 2
+    # an order so small that 1 - beta rounds to 1 made the Renyi rate nan
+    assert run("filter", "--in", str(noisy), "--out", str(tmp_path / "x.raw"),
+               "--filter", "renyi", "--beta", "1e-320") == 2
+    assert not (tmp_path / "x.raw").exists()
 
 
 def test_usage_error_prints_usage(tmp_path, capsys):
@@ -316,3 +327,115 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
                    "--out", str(tmp_path / "x.out")) == 1
         err = capsys.readouterr().err
         assert "despeckle:" in err and "usage:" not in err
+
+
+# ---------------------------------------------- the exit-code contract, drawn
+
+HUGE = str(10**30)
+NUMBERS = ("0", "1", "-1", "nan", "inf", "-inf", "1e308", "1e-320", HUGE, "-" + HUGE)
+# drawn for --replicates and --threads: never more than 2 replicates or workers
+SMALL_COUNTS = ("0", "1", "2", "-1", "nan", "inf", "1e308", "1e-320", "-" + HUGE)
+# a bad DESPECKLE_SEED fails every call, so most calls leave it unset
+ENV_SEEDS = (None,) * 8 + ("", "0", "-1", "nan", "1e3", " 5 ", "0x10", HUGE, "-" + HUGE, "\u0663")
+# list entries: good ones repeated, so a drawn list often holds no bad one
+FILTER_ENTRIES = ("input", "lee:5", "hellinger:5", "kl:7", "renyi:5") * 3 + (
+    "lee:3", "bogus", "hellinger", "lee:x", "lee:5:7", "kl:" + HUGE, "")
+LEVEL_ENTRIES = ("0.2", "0.01") * 4 + ("0", "1", "-1", "nan", "inf", "1e-320", "1e308", "x", "")
+SITUATION_ENTRIES = ("1", "2", "3", "4") * 2 + ("0", "5", "-1", "x", "", HUGE)
+
+
+def draw_raster_file(data, directory, name):
+    """A raster on disk for an input flag: 3x3, 8x8 or 64x64, speckled or all
+    zero, whole or truncated, in a drawn format, or a path with no file."""
+    path = os.path.join(directory, name)
+    fmt = data.draw(st.sampled_from(("raw", "ascii", "pgm")))
+    content = data.draw(st.sampled_from(("speckle", "speckle", "zero", "truncated", "missing")))
+    if content != "missing":
+        side = data.draw(st.sampled_from((8, 64, 3)))
+        values = 100.0 * unit_speckle(2.0, (side, side), np.random.default_rng(side))
+        write_raster(Raster(values if content != "zero" else 0.0 * values), path, fmt)
+        if content == "truncated":
+            with open(path, "r+b") as fh:
+                fh.truncate(os.path.getsize(path) // 2)
+    return path, fmt
+
+
+def draw_flags(data, choices):
+    """Up to two of the (flag, values) choices, each given one drawn value; the
+    others keep their defaults, so a drawn call often gets past validation."""
+    picked = data.draw(st.lists(st.sampled_from(choices), max_size=2, unique_by=lambda c: c[0]))
+    return [arg for flag, values in picked for arg in (flag, data.draw(st.sampled_from(values)))]
+
+
+def draw_list(data, entries):
+    return ",".join(data.draw(st.lists(st.sampled_from(entries), min_size=1, max_size=2)))
+
+
+def draw_command(data, directory):
+    """A despeckle command line and the output file it names, if any."""
+    out = os.path.join(directory, "out")
+    fmt = ("--format", ("raw", "ascii", "pgm"))
+    command = data.draw(st.sampled_from(
+        ("phantom", "corrupt", "filter", "evaluate", "montecarlo", "masks")))
+    if command == "phantom":
+        # --size 128 is left out: every drawn image is at most 64x64
+        argv = ["--out", out] + draw_flags(data, [
+            ("--situation", NUMBERS + ("4",)), ("--size", NUMBERS + ("64",)), fmt])
+    elif command == "corrupt":
+        infile, infmt = draw_raster_file(data, directory, "in")
+        argv = ["--in", infile, "--out", out, "--format", infmt] + draw_flags(data, [
+            ("--situation", NUMBERS + ("4",)), ("--seed", NUMBERS), ("--replicate", NUMBERS)])
+    elif command == "filter":
+        infile, infmt = draw_raster_file(data, directory, "in")
+        kind = data.draw(st.sampled_from(("hellinger", "kl", "renyi", "lee")))
+        argv = ["--in", infile, "--out", out, "--format", infmt, "--filter", kind]
+        argv += draw_flags(data, [
+            ("--window", NUMBERS + ("5", "7")), ("--alpha", NUMBERS + ("0.2",)),
+            ("--beta", NUMBERS + ("0.5",)), ("--looks", NUMBERS + ("3",)),
+            ("--dof", NUMBERS + ("2",)), ("--shared", ("pooled", "sample1")),
+            ("--threads", SMALL_COUNTS)])
+    elif command == "evaluate":
+        (ref, reffmt), (test, _) = (draw_raster_file(data, directory, name)
+                                    for name in ("ref", "test"))
+        argv = ["--ref", ref, "--test", test, "--format", reffmt] + draw_flags(data, [
+            ("--geometry-size", NUMBERS + ("64", "128"))])
+        out = None
+    elif command == "montecarlo":
+        # the list flags and --replicates are always given: their defaults
+        # run every situation and filter, 20 replicates each
+        argv = ["--fast", "--out", out,
+                "--replicates", data.draw(st.sampled_from(("1", "2") * 3 + SMALL_COUNTS)),
+                "--situations", draw_list(data, SITUATION_ENTRIES),
+                "--filters", draw_list(data, FILTER_ENTRIES)] + draw_flags(data, [
+            ("--levels", (draw_list(data, LEVEL_ENTRIES),)), ("--seed", NUMBERS),
+            ("--size", NUMBERS + ("64",)), ("--dof", NUMBERS + ("2",)),
+            ("--beta", NUMBERS + ("0.5",)), ("--threads", SMALL_COUNTS)])
+    else:
+        argv = draw_flags(data, [("--window", NUMBERS + ("5", "7"))])
+        out = None
+    return [command] + argv, out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_command_line_exits_0_1_or_2(data):
+    # each drawn call ends in a defined exit code, never in the internal-error
+    # guard (a RuntimeWarning raises under this suite's warning filter), and a
+    # usage error leaves no output file behind
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
+        argv, out = draw_command(data, directory)
+        seed = data.draw(st.sampled_from(ENV_SEEDS))
+        if seed is None:
+            mp.delenv("DESPECKLE_SEED", raising=False)
+        else:
+            mp.setenv("DESPECKLE_SEED", seed)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+        assert code in (0, 1, 2), (argv, seed, err.getvalue())
+        assert "internal error" not in err.getvalue(), (argv, seed, err.getvalue())
+        if code == 2 and out is not None:
+            assert not os.path.exists(out), (argv, seed)

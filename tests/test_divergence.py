@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from conftest import bisect_200
+from conftest import bisect_200, stream
 from despeckle import (
     DomainError,
     GammaParams,
@@ -21,16 +21,9 @@ from despeckle import (
 from despeckle.divergence import (
     KINDS,
     chi2_critical,
-    hellinger_stat_array,
-    kl_stat_array,
     looks_threshold,
-    renyi_stat_array,
     statistic_array,
 )
-
-
-def stream(*key):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
 # --------------------------------------------------------------- Sidak level
@@ -154,9 +147,9 @@ def test_array_forms_match_scalar_forms():
     m1 = np.array([1.0, 2.0, 7.0])
     m2 = np.array([3.0, 2.0, 1.5])
     looks = np.array([1.0, 4.0, 2.0])
-    h = hellinger_stat_array(m1, m2, 9, 7, looks)
-    k = kl_stat_array(m1, m2, 9, 7, looks)
-    r = renyi_stat_array(m1, m2, 9, 7, looks, 0.5)
+    h = statistic_array("hellinger", m1, m2, 9, 7, looks)
+    k = statistic_array("kl", m1, m2, 9, 7, looks)
+    r = statistic_array("renyi", m1, m2, 9, 7, looks, 0.5)
     for i in range(3):
         pa = GammaParams(looks[i], m1[i])
         pb = GammaParams(looks[i], m2[i])
@@ -174,9 +167,9 @@ def test_scalar_forms_equal_array_elements_bit_for_bit():
     m1 = np.exp(rng.uniform(-5.0, 8.0, size))
     m2 = m1 * np.exp(rng.normal(0.0, 0.3, size))
     looks = np.exp(rng.uniform(0.0, 9.2, size))
-    h = hellinger_stat_array(m1, m2, 9, 7, looks)
-    k = kl_stat_array(m1, m2, 9, 7, looks)
-    r = renyi_stat_array(m1, m2, 9, 7, looks, 0.3)
+    h = statistic_array("hellinger", m1, m2, 9, 7, looks)
+    k = statistic_array("kl", m1, m2, 9, 7, looks)
+    r = statistic_array("renyi", m1, m2, 9, 7, looks, 0.3)
     for i in range(size):
         pa, pb = GammaParams(1.0, m1[i]), GammaParams(1.0, m2[i])
         assert hellinger_stat(pa, pb, 9, 7, looks[i]) == h[i]
@@ -318,6 +311,12 @@ def test_config_validation():
         TestConfig(kind="tsallis")
     with pytest.raises(InvalidArgumentError):
         TestConfig(kind="renyi", renyi_order=1.0)
+    TestConfig(kind="renyi", renyi_order=2.0**-53)
+    for order in (2.0**-54, 1e-320):  # 1 - order rounds to 1
+        with pytest.raises(InvalidArgumentError):
+            TestConfig(kind="renyi", renyi_order=order)
+        with pytest.raises(InvalidArgumentError):
+            renyi_stat(P1, P3, 9, 7, 1.0, order)
     with pytest.raises(InvalidArgumentError):
         TestConfig(alpha=0.0)
     with pytest.raises(InvalidArgumentError):
@@ -419,7 +418,7 @@ def _null_pvalues(seed, ntrials, m, n, looks, mean):
     both = np.concatenate([z1, z2], axis=1)
     rhs = np.log(both.mean(axis=1)) - np.log(both).mean(axis=1)
     shared = bisect_200(rhs)
-    s = hellinger_stat_array(z1.mean(axis=1), z2.mean(axis=1), m, n, shared)
+    s = statistic_array("hellinger", z1.mean(axis=1), z2.mean(axis=1), m, n, shared)
     return special.gammaincc(0.5, s / 2.0)
 
 
@@ -441,7 +440,7 @@ def test_power_at_strip_background_separation():
     both = np.concatenate([z1, z2], axis=1)
     rhs = np.log(both.mean(axis=1)) - np.log(both).mean(axis=1)
     shared = bisect_200(rhs)
-    s = hellinger_stat_array(z1.mean(axis=1), z2.mean(axis=1), m, n, shared)
+    s = statistic_array("hellinger", z1.mean(axis=1), z2.mean(axis=1), m, n, shared)
     reject = float(np.mean(special.gammaincc(0.5, s / 2.0) <= sidak_level(0.1, 8)))
     assert reject >= 0.30
     assert reject > 20.0 * sidak_level(0.1, 8)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from conftest import bisect_200
+from conftest import bisect_200, stream
 from despeckle import (
     GAMMA_ALGORITHM_VERSION,
     L_MAX,
@@ -26,10 +26,6 @@ from despeckle.gamma import (
     shift_zeros,
     solve_looks,
 )
-
-
-def stream(*key):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
 def test_params_validation():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import stream
 from despeckle import (
     SITUATIONS,
     InvalidArgumentError,
@@ -16,10 +17,6 @@ from despeckle import (
     replicate_stream,
     unit_speckle,
 )
-
-
-def stream(*key):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
 def test_spec_validation():

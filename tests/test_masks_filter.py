@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
-from conftest import bisect_200
+from conftest import bisect_200, stream
 from despeckle import (
     FilterSpec,
     GammaParams,
@@ -31,20 +31,14 @@ from despeckle import (
 from despeckle import divergence, nmfilter
 from despeckle.divergence import (
     KINDS,
-    hellinger_stat_array,
-    kl_stat_array,
-    renyi_stat_array,
     sidak_level,
+    statistic_array,
     threshold_reach,
 )
 from despeckle.gamma import solve_looks
 from despeckle.harness import SITUATIONS, corrupt, make_phantom, replicate_stream
 from despeckle.nmfilter import BLOCK_PIXELS
 from despeckle.phantom import default_geometry
-
-
-def stream(*key):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
 def rot90cw(offsets):
@@ -129,6 +123,15 @@ def test_filter_spec_masks_follow_the_window():
     assert dataclasses.replace(FilterSpec(window=5), window=7).masks == nm_masks(7)
     with pytest.raises(TypeError):
         FilterSpec(window=5, masks=nm_masks(5))
+
+
+def test_geometry_is_built_once_and_read_only():
+    for window in (5, 7):
+        assert nm_masks(window) is nm_masks(window) is FilterSpec(window=window).masks
+        hellinger = nmfilter._plan(FilterSpec(window=window))
+        kl = nmfilter._plan(FilterSpec(window=window, test=TestConfig(kind="kl")))
+        for shared, again in zip(hellinger[:3], kl[:3]):
+            assert shared is again and not shared.flags.writeable
 
 
 # ------------------------------------------------------------------- filter
@@ -367,13 +370,7 @@ def _solved_decisions(w, cfg, central, gathers):
         shared = bisect_200(rhs)
     else:
         shared = bisect_200(rhs1)[:, None]
-    args = (mean1[:, None], mean_i, m1, ni, shared)
-    if cfg.kind == "hellinger":
-        stat = hellinger_stat_array(*args)
-    elif cfg.kind == "kl":
-        stat = kl_stat_array(*args)
-    else:
-        stat = renyi_stat_array(*args, cfg.renyi_order)
+    stat = statistic_array(cfg.kind, mean1[:, None], mean_i, m1, ni, shared, cfg.renyi_order)
     return special.gammaincc(cfg.dof / 2.0, stat / 2.0) > sidak_level(cfg.alpha, 8)
 
 
@@ -449,6 +446,20 @@ def test_zero_stand_in_never_rounds_to_zero(window):
     fit = mle(arr)
     assert fit.zero_shifted and not fit.degenerate
     assert fit.params.mean == float(arr.mean())
+
+
+@pytest.mark.parametrize("window", [5, 7])
+@pytest.mark.parametrize("kind", KINDS)
+def test_zero_floor_holds_under_a_raising_error_state(kind, window):
+    # the stand-in's floor is the smallest subnormal as a constant, so nothing
+    # signals underflow: an all-zero raster filters to zeros and zeros beside a
+    # 1 fit with every floating-point error raising
+    spec = FilterSpec(window=window, test=TestConfig(kind=kind))
+    with np.errstate(all="raise"):
+        out = filter_image(Raster(np.zeros((64, 64))), spec).array
+        fit = mle(np.array([0.0, 0.0, 1.0]))
+    assert np.array_equal(out, np.zeros((64, 64)))
+    assert fit.zero_shifted and not fit.degenerate
 
 
 def differing_share(a, b):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import stream
 from despeckle import (
     METRIC_HEADER,
     DegenerateRegionError,
@@ -31,10 +32,6 @@ from despeckle import (
 from despeckle import metrics as metrics_module
 from despeckle.harness import SITUATIONS, corrupt, make_phantom, render_phantom, replicate_stream
 from despeckle.metrics import DCON_OFFSET
-
-
-def stream(*key):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
 # ---------------------------------------------------------------------- enl

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import stream
 from despeckle import (
     DegenerateRegionError,
     DespeckleError,
@@ -40,10 +41,6 @@ from despeckle.harness import (
     run_protocol,
     write_csv,
 )
-
-
-def stream(*key):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
 def geom_with(**overrides):

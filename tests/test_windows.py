@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import stream
 from despeckle import (
     DegenerateRegionError, LeeSpec, Raster, Reference, compute_report, default_geometry,
     lee_filter, metrics, pad_mirror, q_index,
@@ -19,10 +20,6 @@ from despeckle.metrics import Q_CHUNK, Q_WINDOW
 from despeckle.windows import (
     ROW_SUM_MAX, flat_cells, on_grid, sum_rows, window_max, window_min,
 )
-
-
-def stream(*key):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
 def bits(a):
@@ -295,6 +292,19 @@ def test_q_on_a_textured_reference_equals_the_copied_window_statistics():
     assert (60 - Q_WINDOW + 1) * (50 - Q_WINDOW + 1) > Q_CHUNK
     assert_q_is_the_reference(x, y)
     assert q_index(Raster(x), Raster(y), with_counts=True)[3] == 0
+
+
+def test_q_with_range_shifts_over_several_chunks_equals_the_copied_window_statistics():
+    # rows scaled by 2^-600 and by 2^1000 give the windows different range
+    # shifts, so each chunk must scale its windows by their own shifts
+    rng = stream(608)
+    x = 100.0 * rng.gamma(1.0, 1.0, (60, 50))
+    y = x * rng.gamma(3.0, 1.0 / 3.0, x.shape)
+    for image in (x, y):
+        image[:20] = np.ldexp(image[:20], -600)
+        image[40:] = np.ldexp(image[40:], 1000)
+    assert (60 - Q_WINDOW + 1) * (50 - Q_WINDOW + 1) > Q_CHUNK
+    assert_q_is_the_reference(x, y)
 
 
 def test_q_on_a_constant_reference_is_degenerate():
