@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer check
+that raises InvalidArgumentError for a size or count of another type."""
+
+import numbers
 
 
 class DespeckleError(Exception):
@@ -23,3 +26,10 @@ class FormatError(DespeckleError, ValueError):
 
 class DegenerateRegionError(DespeckleError, ValueError):
     """A pixel region is constant where variability is required."""
+
+
+def check_integer(value, name: str):
+    """Raise InvalidArgumentError unless value is an integer: a Python or numpy
+    int, not a bool and not a float of integral value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")

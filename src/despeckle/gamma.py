@@ -120,7 +120,10 @@ def sample(p: GammaParams, n: int, stream: np.random.Generator) -> np.ndarray:
 
 
 def unit_speckle(looks: float, shape: tuple, stream: np.random.Generator) -> np.ndarray:
-    """Unit-mean speckle field Gamma(L, L) of the given array shape."""
+    """Unit-mean speckle field Gamma(L, L) of the given array shape; the
+    looks L must be finite and >= 1, the sampler's domain."""
+    if not (math.isfinite(looks) and looks >= 1.0):
+        raise InvalidArgumentError(f"looks must be finite and >= 1, got {looks}")
     return (_gamma_shape_ge1(looks, math.prod(shape), stream) / looks).reshape(shape)
 
 

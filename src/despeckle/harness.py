@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .divergence import KINDS, TestConfig
-from .errors import DomainError, InvalidArgumentError
+from .errors import DomainError, InvalidArgumentError, check_integer
 from .gamma import unit_speckle
 from .lee import LeeSpec, lee_filter
 # compute_report stays bound here, unread: perfbench's traced run rebinds it by name
@@ -107,6 +107,8 @@ class RunPlan:
     renyi_order: float = TestConfig.renyi_order
 
     def __post_init__(self):
+        check_integer(self.replicates, "replicates")
+        check_integer(self.master_seed, "master_seed")
         if self.replicates < 1:
             raise InvalidArgumentError("replicates must be >= 1")
         if self.master_seed < 0:
@@ -121,12 +123,15 @@ class RunPlan:
         for kind, window in self.filters:
             if kind not in FILTER_KINDS:
                 raise InvalidArgumentError(f"unknown filter kind {kind!r}")
-            if kind != "input" and window not in (5, 7):
-                raise InvalidArgumentError(f"filter {kind!r} needs window 5 or 7")
+            if kind != "input":
+                check_integer(window, f"filter {kind!r} window")
+                if window not in (5, 7):
+                    raise InvalidArgumentError(f"filter {kind!r} needs window 5 or 7")
         for level in self.levels:
             if not 0.0 < level < 1.0:
                 raise InvalidArgumentError("levels must lie in (0, 1)")
         for sid in self.situations:
+            check_integer(sid, "situation")
             if sid not in SITUATIONS:
                 raise InvalidArgumentError(f"unknown situation {sid}")
         # a bad test setting fails here, not in a worker at the first filter

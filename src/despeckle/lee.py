@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_integer
 from .gamma import range_shift
 from .raster import Raster
 from .windows import ROW_SUM_MAX, flat_cells, on_grid, window_max, window_moments
@@ -35,6 +35,7 @@ class LeeSpec:
     nominal_looks: float = 1.0
 
     def __post_init__(self):
+        check_integer(self.window, "window")
         if self.window % 2 == 0 or self.window < 3:
             raise InvalidArgumentError("window must be odd and >= 3")
         if self.window**2 > ROW_SUM_MAX:

@@ -15,7 +15,6 @@ smallest.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
-from functools import cached_property
 
 import numpy as np
 
@@ -324,13 +323,14 @@ def error_metrics(x: Raster, y: Raster) -> tuple:
     xn = (ax - lo) / (hi - lo)
     yn = (ay - lo) / (hi - lo)
     diff = xn - yn
-    mae = float(np.abs(diff).mean())
-    mse = float((diff**2).mean())
+    absolute, squared = np.abs(diff), diff**2
+    mae = float(absolute.mean())
+    mse = float(squared.mean())
     ref_energy = float((xn**2).sum())
     if ref_energy == 0:
         raise DomainError("reference image is zero after normalization")
-    nmse = float((diff**2).sum() / ref_energy)
-    dcon = float((np.abs(diff) / (DCON_OFFSET + xn + yn)).mean())
+    nmse = float(squared.sum() / ref_energy)
+    dcon = float((absolute / (DCON_OFFSET + xn + yn)).mean())
     return mae, mse, nmse, dcon
 
 
@@ -376,6 +376,15 @@ def csv_cell(value) -> str:
 METRIC_HEADER = ",".join(f.name for f in dataclass_fields(MetricReport))
 
 
+def _attempt(fn, width=None):
+    """fn(), or None (width Nones) should it raise a metric error: a
+    DespeckleError, or a FloatingPointError under a raising numpy error state."""
+    try:
+        return fn()
+    except (DespeckleError, FloatingPointError):
+        return None if width is None else (None,) * width
+
+
 class Reference:
     """A reference image and the parts of its metrics that depend on it alone,
     to score any number of test images against it.
@@ -384,8 +393,10 @@ class Reference:
     reference's centred Laplacian with its sum of squares; its Q means and
     variances at shift 0 are kept from the first batch that computes them.
     These are small arrays: the reference's cells are gathered again, a chunk
-    at a time, by every batch.  A geometry of another size than the image
-    raises InvalidArgumentError.
+    at a time, by every batch.  A side the reference cannot have (Q needs an
+    8x8 window, the Laplacian 3x3) is None, and its columns are NA in every
+    report.  A geometry of another size than the image raises
+    InvalidArgumentError.
     """
 
     def __init__(self, image: Raster, geom: PhantomGeometry | None = None):
@@ -393,57 +404,37 @@ class Reference:
             _check_geometry(image, geom)
         self.image = image
         self.geom = geom
-        # built here, so forked workers inherit them; one that fails is built
-        # again in each report, where its error makes the metric None
-        for part in ("_q", "_centred"):
-            try:
-                getattr(self, part)
-            except (DespeckleError, FloatingPointError):
-                pass
-
-    @cached_property
-    def _q(self) -> _QReference:
-        return _QReference(self.image.array)
-
-    @cached_property
-    def _centred(self) -> tuple:
-        return _centred_laplacian(self.image.array)
+        # built here, once, so forked workers inherit them
+        self._q = _attempt(lambda: _QReference(image.array))
+        self._centred = _attempt(lambda: _centred_laplacian(image.array))
 
     def reports(self, tests) -> list:
         """One MetricReport of each test image against the reference, as
         compute_report defines it.  Q is computed for the whole batch in one
         pass over the reference's windows; should the pass raise a metric
-        error, each test is scored alone, so the error costs only its own Q."""
+        error (only a raising numpy error state can), Q is NA for the batch."""
         for test in tests:
             _check_same_shape(self.image, test)
-        try:
-            q_values = self._q.values([test.array for test in tests])
-        except (DespeckleError, FloatingPointError):
-            q_values = [None] * len(tests)
+        q_values = [None] * len(tests)
+        if self._q is not None:
+            q_values = _attempt(lambda: self._q.values([test.array for test in tests])) or q_values
         return [self._report(test, q) for test, q in zip(tests, q_values)]
 
     def _report(self, test: Raster, q) -> MetricReport:
-        def attempt(fn, width=None):
-            try:
-                return fn()
-            except (DespeckleError, FloatingPointError):
-                return None if width is None else (None,) * width
-
-        def q_stats():
-            values = self._q.values([test.array])[0] if q is None else q
-            return _q_summary(values, self._q.windows)
-
         ref, geom = self.image, self.geom
         line = gradient = variance = None
         if geom is None:
-            enl_value = attempt(lambda: enl(test.array))
+            enl_value = _attempt(lambda: enl(test.array))
         else:
-            enl_value = attempt(lambda: enl(test.array[geom.background_slices()]))
-            line = attempt(lambda: line_contrast(test, geom, ref))
-            gradient, variance = attempt(lambda: edge_measures(test, geom, ref), 2)
-        q_mean, q_std = attempt(q_stats, 2)
-        beta_rho = attempt(lambda: _laplacian_correlation(self._centred, test.array))
-        mae, mse, nmse, dcon = attempt(lambda: error_metrics(ref, test), 4)
+            enl_value = _attempt(lambda: enl(test.array[geom.background_slices()]))
+            line = _attempt(lambda: line_contrast(test, geom, ref))
+            gradient, variance = _attempt(lambda: edge_measures(test, geom, ref), 2)
+        q_mean = q_std = beta_rho = None
+        if q is not None:
+            q_mean, q_std = _attempt(lambda: _q_summary(q, self._q.windows), 2)
+        if self._centred is not None:
+            beta_rho = _attempt(lambda: _laplacian_correlation(self._centred, test.array))
+        mae, mse, nmse, dcon = _attempt(lambda: error_metrics(ref, test), 4)
         return MetricReport(
             enl=enl_value, line_contrast_error=line, edge_gradient=gradient, edge_variance=variance,
             q_mean=q_mean, q_std=q_std, beta_rho=beta_rho, mae=mae, mse=mse, nmse=nmse, dcon=dcon,

@@ -43,7 +43,7 @@ from .divergence import (
     renyi_stat_array,
     threshold_reach,
 )
-from .errors import InvalidArgumentError, OutOfBoundsError
+from .errors import InvalidArgumentError, OutOfBoundsError, check_integer
 from .gamma import looks_below, range_shift, shift_zeros, solve_looks
 from .raster import Raster
 from .windows import sum_rows
@@ -152,6 +152,7 @@ class FilterSpec:
     test: TestConfig = field(default_factory=TestConfig)
 
     def __post_init__(self):
+        check_integer(self.window, "window")
         if self.window not in (5, 7):
             raise InvalidArgumentError(f"window must be 5 or 7, got {self.window}")
 
@@ -320,6 +321,8 @@ def filter_pixel(padded: Raster, center: tuple, spec: FilterSpec) -> float:
     """Filter a single pixel of an already-padded raster."""
     half = spec.window // 2
     row, col = center
+    check_integer(row, "center row")
+    check_integer(col, "center column")
     if not (
         half <= row < padded.height - half and half <= col < padded.width - half
     ):

@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, InvalidArgumentError, OutOfBoundsError
+from .errors import FormatError, InvalidArgumentError, OutOfBoundsError, check_integer
 
 RAW_MAGIC = b"SPKL"
 RAW_VERSION = 1
@@ -82,6 +82,7 @@ def pad_mirror(img: Raster, margin: int) -> Raster:
     The reflection is about the image edge: the edge row/column itself is
     not duplicated ([1,2,3] with margin 1 becomes [2,1,2,3,2]).
     """
+    check_integer(margin, "margin")
     if margin < 0:
         raise InvalidArgumentError("margin must be >= 0")
     if margin >= min(img.width, img.height):

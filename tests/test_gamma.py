@@ -114,6 +114,17 @@ def test_unit_speckle_unit_mean():
     assert abs(y.mean() - 1.0) < 3.0 / math.sqrt(3.0 * 64 * 64)
 
 
+def test_unit_speckle_refuses_looks_outside_its_domain():
+    # the sampler would reject every candidate of nan or inf looks forever,
+    # and its shape d = L - 1/3 needs L >= 1
+    for looks in (math.nan, math.inf, -math.inf, 0.0, 0.2, 0.999, -1.0):
+        with pytest.raises(InvalidArgumentError, match="looks"):
+            unit_speckle(looks, (3,), stream(7))
+    for looks in (1.0, 1e4):
+        y = unit_speckle(looks, (3, 2), stream(7))
+        assert y.shape == (3, 2) and np.all(y > 0)
+
+
 def test_mle_mean_is_sample_mean_exactly():
     z = sample(GammaParams(3.0, 195.0), 400, stream(6))
     assert mle(z).params.mean == float(z.mean())

@@ -21,6 +21,9 @@ from despeckle import (
 
 def test_spec_validation():
     LeeSpec(window=7, nominal_looks=4.0)
+    LeeSpec(window=np.int64(5))
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        LeeSpec(window=5.0)
     with pytest.raises(InvalidArgumentError):
         LeeSpec(window=4)
     with pytest.raises(InvalidArgumentError):

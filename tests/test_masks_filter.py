@@ -112,6 +112,9 @@ def test_mask_table_text_lists_all_regions():
 
 def test_filter_spec_validation():
     FilterSpec(window=7)
+    FilterSpec(window=np.int64(5))
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        FilterSpec(window=5.0)
     with pytest.raises(InvalidArgumentError):
         FilterSpec(window=4)
     with pytest.raises(TypeError):  # the series length is fixed, not a setting
@@ -163,6 +166,9 @@ def test_filter_pixel_border_check():
         filter_pixel(img, (1, 5), spec)
     with pytest.raises(OutOfBoundsError):
         filter_pixel(img, (5, 7), spec)
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        filter_pixel(img, (5.0, 5), spec)
+    assert filter_pixel(img, (np.int64(4), np.int64(4)), spec) == 1.0
 
 
 def test_filter_image_undersized():

@@ -371,8 +371,8 @@ def test_compute_report_turns_failures_into_na():
 
 
 def test_reports_of_images_too_small_for_q():
-    # Q needs one 8x8 window, so the Reference holds no Q side and the batch
-    # falls back to scoring each test alone; beta-rho needs 3x3 Laplacians
+    # Q needs one 8x8 window, so the Reference holds no Q side and Q is NA for
+    # every test of the batch; beta-rho needs 3x3 Laplacians
     rng = stream(317)
     for side in (5, 2):
         ref = Raster(rng.uniform(50.0, 150.0, (side, side)))
@@ -385,6 +385,51 @@ def test_reports_of_images_too_small_for_q():
             assert (report.beta_rho is None) == (side < 3)
             for value in (report.enl, report.mae, report.mse, report.nmse, report.dcon):
                 assert value is not None and math.isfinite(value)
+
+
+def test_reference_builds_each_side_once(monkeypatch):
+    # a side is built in Reference() and never again, also one that failed;
+    # beta-rho's Laplacians of the test images are not the reference's side
+    rng = stream(318)
+    for side in (2, 5):
+        ref = Raster(rng.uniform(50.0, 150.0, (side, side)))
+        tests = [Raster(rng.uniform(50.0, 150.0, (side, side))) for _ in range(3)]
+        builds = {"q": 0, "laplacian": 0}
+
+        def counted(key, fn):
+            def wrapper(a):
+                if a is ref.array:
+                    builds[key] += 1
+                return fn(a)
+            return wrapper
+
+        monkeypatch.setattr(metrics_module, "_QReference",
+                            counted("q", metrics_module._QReference))
+        monkeypatch.setattr(metrics_module, "_centred_laplacian",
+                            counted("laplacian", metrics_module._centred_laplacian))
+        metrics_module.Reference(ref).reports(tests)
+        assert builds == {"q": 1, "laplacian": 1}, side
+        monkeypatch.undo()
+
+
+def test_a_failed_batch_q_pass_makes_q_na_for_the_batch(monkeypatch):
+    # only a raising numpy error state can make the pass raise; its error
+    # costs the batch its Q columns and changes no other bit
+    geom, clean, noisy = situation_2_pair()
+    tests = [noisy, lee_filter(noisy, LeeSpec(window=5, nominal_looks=3.0)), clean]
+    base = metrics_module.Reference(clean, geom).reports(tests)
+
+    def failing(self, arrays):
+        raise FloatingPointError("overflow encountered in multiply")
+
+    monkeypatch.setattr(metrics_module._QReference, "values", failing)
+    failed = metrics_module.Reference(clean, geom).reports(tests)
+    for before, after in zip(base, failed):
+        assert before.q_mean is not None and before.q_std is not None
+        assert after.q_mean is None and after.q_std is None
+        for name in METRIC_HEADER.split(","):
+            if name not in ("q_mean", "q_std"):
+                assert same_bits(getattr(after, name), getattr(before, name)), name
 
 
 def test_compute_report_lets_programming_errors_through(monkeypatch):

@@ -271,6 +271,13 @@ def test_huge_look_count_speckle_is_nearly_flat():
     assert np.abs(y - 1.0).max() <= 0.05
 
 
+def test_corrupt_refuses_looks_outside_the_sampler_domain():
+    phantom = Raster(np.full((4, 4), 100.0))
+    for looks in (float("nan"), float("inf"), 0.5):
+        with pytest.raises(InvalidArgumentError, match="looks"):
+            corrupt(phantom, Situation(9, looks, 100.0, 50.0), stream(10))
+
+
 # -------------------------------------------------------------------- plans
 
 
@@ -323,6 +330,16 @@ def test_run_plan_validation():
     with pytest.raises(InvalidArgumentError, match="renyi_order"):
         RunPlan(filters=(("renyi", 5),), renyi_order=1.5)
     RunPlan(filters=(("hellinger", 5),), renyi_order=1.5)  # the order only matters to renyi
+    # a count or window that is not an integer fails at the plan, not in run_protocol
+    with pytest.raises(InvalidArgumentError, match="replicates must be an integer"):
+        RunPlan(replicates=1.5)
+    with pytest.raises(InvalidArgumentError, match="master_seed must be an integer"):
+        RunPlan(master_seed=1.5)
+    with pytest.raises(InvalidArgumentError, match="window must be an integer"):
+        RunPlan(filters=(("lee", 5.0),))
+    with pytest.raises(InvalidArgumentError, match="situation must be an integer"):
+        RunPlan(situations=(1.0,))
+    RunPlan(replicates=np.int64(2), master_seed=np.int64(3), filters=(("lee", np.int64(5)),))
 
 
 # ----------------------------------------------------------------- protocol

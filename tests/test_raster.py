@@ -77,6 +77,9 @@ def test_pad_mirror_margin_too_large():
         pad_mirror(img, 4)
     with pytest.raises(InvalidArgumentError):
         pad_mirror(img, -1)
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        pad_mirror(img, 1.0)
+    assert pad_mirror(img, np.int64(1)).shape == (6, 8)
 
 
 def test_extract_constant_image():
