@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, InvalidArgumentError
 from .gamma import GammaParams, into_range, mle
@@ -122,22 +121,39 @@ def renyi_stat(
 
 
 def chi2_survival(s: float, dof: int) -> float:
-    """Pr(chi2_dof > s) via the regularized upper incomplete gamma function."""
-    if dof < 1:
-        raise InvalidArgumentError("dof must be >= 1")
+    """Pr(chi2_dof > s) for dof 1 or 2: erfc(sqrt(s/2)) at dof 1, exp(-s/2) at
+    dof 2."""
+    if dof not in (1, 2):
+        raise InvalidArgumentError("dof must be 1 or 2")
     if not math.isfinite(s) or s < 0.0:
         raise InvalidArgumentError("statistic must be finite and >= 0")
-    return float(special.gammaincc(dof / 2.0, s / 2.0))
+    return math.erfc(math.sqrt(s / 2.0)) if dof == 1 else math.exp(-s / 2.0)
+
+
+def _erfcinv(eta: float) -> float:
+    """The double x >= 0 whose math.erfc(x) lies closest to eta, 0 < eta < 1.
+    erfc decreases, so bisection narrows [0, 30], where erfc(30) is 0 in
+    doubles, to adjacent doubles, and the closer of the two is kept."""
+    lo, hi = 0.0, 30.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if math.erfc(mid) > eta:
+            lo = mid
+        else:
+            hi = mid
+    return lo if math.erfc(lo) - eta <= eta - math.erfc(hi) else hi
 
 
 def chi2_critical(eta: float, dof: int) -> float:
-    """The s with chi2_survival(s, dof) == eta: -2 ln eta at dof 2,
-    2 erfcinv(eta)^2 at dof 1."""
-    if dof < 1:
-        raise InvalidArgumentError("dof must be >= 1")
+    """The s with chi2_survival(s, dof) == eta, for dof 1 or 2: 2 erfcinv(eta)^2
+    at dof 1, -2 ln eta at dof 2."""
+    if dof not in (1, 2):
+        raise InvalidArgumentError("dof must be 1 or 2")
     if not 0.0 < eta < 1.0:
         raise InvalidArgumentError("eta must be in (0, 1)")
-    return float(2.0 * special.gammainccinv(dof / 2.0, eta))
+    if dof == 2:
+        return -2.0 * math.log(eta)
+    x = _erfcinv(eta)
+    return 2.0 * x * x
 
 
 def run_test(sample1, sample_i, cfg: TestConfig) -> TestOutcome:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, InvalidArgumentError
 
@@ -64,7 +63,7 @@ def density(p: GammaParams, z):
     log_f = (
         L * np.log(L)
         - L * np.log(lam)
-        - special.gammaln(L)
+        - math.lgamma(L)
         + (L - 1.0) * np.log(zarr)
         - L * zarr / lam
     )
@@ -177,12 +176,86 @@ def shift_zeros(z, out=None, work=None, mask=None) -> np.ndarray:
     return out
 
 
+def _asymptotic_gap(y):
+    """ln y - digamma(y) by its asymptotic series 1/(2y) + sum B_2k / (2k y^2k),
+    k = 1..8 (Bernoulli numbers B_2k): every term is small, so nothing
+    cancels, and for y >= 10 the first term left out is below 1e-16 relative."""
+    t = 1.0 / (y * y)
+    return 0.5 / y + t * (1 / 12 + t * (-1 / 120 + t * (1 / 252 + t * (-1 / 240 + t * (
+        1 / 132 + t * (-691 / 32760 + t * (1 / 12 + t * (-3617 / 8160))))))))
+
+
+def _ten_steps(looks):
+    """gap(L) - gap(L + 10) = sum_{k=0..9} 1/(L + k) - ln(1 + 10/L), from
+    digamma(L + 1) = digamma(L) + 1/L.
+
+    It takes k = 0 and k = 1..9 apart, each less its own share of the log,
+    ln(1 + 1/L) and ln(1 + 9/(L + 1)): both parts stay below 2 down to L = 1,
+    so their roundings cost the gap ~2 ulps there, against ~4 for one sum less
+    one log near 2.9 and 2.4, and the gap at 1 comes out as Euler's constant
+    rounded.  The k = 1..9 sum pairs k with 10 - k, which halves its
+    divisions: 1/(L + k) + 1/(L + 10 - k) = (2L + 10) / (L (L + 10) +
+    k (10 - k)), and k = 5 alone is (2L + 10) (1/2) / (L (L + 10) + 25).
+    """
+    r = 1.0 / looks
+    v = looks * (looks + 10.0)
+    pairs = (looks + looks + 10.0) * (
+        1.0 / (v + 9.0) + 1.0 / (v + 16.0) + 1.0 / (v + 21.0) + 1.0 / (v + 24.0) + 0.5 / (v + 25.0)
+    )
+    return (pairs - np.log1p(9.0 / (looks + 1.0))) + (r - np.log1p(r))
+
+
 def _dispersion_gap(looks):
-    """ln L - digamma(L): strictly decreasing on [1, L_MAX], -> 0 as L -> inf."""
-    return np.log(looks) - special.digamma(looks)
+    """ln L - digamma(L): strictly decreasing on [1, L_MAX], -> 0 as L -> inf.
+
+    At L >= 10 the asymptotic series gives it directly; below, the series at
+    L + 10 plus the ten recurrence steps back to L.  A float, which takes the
+    branch with an if, and each element of an array, which takes it with a
+    mask, go through the same operations in the same order, so both give the
+    same bits.
+    """
+    if isinstance(looks, float):
+        if looks >= 10.0:
+            return _asymptotic_gap(looks)
+        # a float, not a numpy scalar, keeps solve_looks's arithmetic on floats
+        return float(_asymptotic_gap(looks + 10.0) + _ten_steps(looks))
+    below = looks < 10.0
+    return _asymptotic_gap(looks + 10.0 * below) + np.where(below, _ten_steps(looks), 0.0)
 
 
 _GAP_AT_ONE, _GAP_AT_L_MAX = _dispersion_gap(1.0), _dispersion_gap(L_MAX)  # the clamps
+
+# The computed gap strays from its true value by ~5e-15 relative at most on
+# [1, L_MAX] (measured against mpmath; the tests pin 2e-14), and the true gap
+# strictly decreases.  So a computed gap of at least (1 + _SURE_MARGIN) rhs
+# at a puts the computed gap above rhs at every L <= a, and one of at most
+# (1 - _SURE_MARGIN) rhs at b puts it at or below rhs at every L >= b, for
+# any error below _SURE_MARGIN / 2.
+_SURE_MARGIN = 1e-13
+
+
+def _sure_sides(rhs: float):
+    """(a, b) close around the solution of gap(L) = rhs, for rhs strictly
+    between the clamps: the computed gap exceeds rhs at every L <= a and does
+    not at every L >= b.
+
+    Secant steps from the root of 1/(2L) + 1/(12L^2) = rhs, the series' first
+    two terms, bring L within ~_SURE_MARGIN / 4 relative of the solution; a
+    and b lie 2 _SURE_MARGIN below and above it, each checked with one gap by
+    the rule above.  A side that fails its check falls back to 1 or L_MAX,
+    which hold for every such rhs.
+    """
+    x0 = min(max((3.0 + math.sqrt(9.0 + 12.0 * rhs)) / (12.0 * rhs), 1.0), L_MAX)
+    f0 = _dispersion_gap(x0) - rhs
+    x1 = min(max(x0 * (1.0 + f0 / rhs), 1.0), L_MAX)  # the gap ~ 1/L near its solution
+    for _ in range(8):
+        f1 = _dispersion_gap(x1) - rhs
+        if abs(f1) <= 0.25 * _SURE_MARGIN * rhs or f1 == f0:
+            break
+        x0, f0, x1 = x1, f1, min(max(x1 - f1 * (x1 - x0) / (f1 - f0), 1.0), L_MAX)
+    a, b = x1 * (1.0 - 2.0 * _SURE_MARGIN), x1 * (1.0 + 2.0 * _SURE_MARGIN)
+    return (a if _dispersion_gap(a) >= (1.0 + _SURE_MARGIN) * rhs else 1.0,
+            b if _dispersion_gap(b) <= (1.0 - _SURE_MARGIN) * rhs else L_MAX)
 
 
 def solve_looks(rhs: float) -> float:
@@ -193,27 +266,36 @@ def solve_looks(rhs: float) -> float:
     gives the double of a fixed 200 steps: equal bounds repeat the step.  The
     loop ends because mid = (lo + hi) / 2 rounds into [lo, hi], so lo only
     rises and hi only falls; each step halves a bracket until its bounds are
-    adjacent doubles, ~66 halvings of [1, L_MAX].
+    adjacent doubles, ~66 halvings of [1, L_MAX].  Only the steps inside
+    _sure_sides's (a, b), ~12 of them, evaluate the gap: at the others its
+    side of rhs is already known.
     """
     if rhs >= _GAP_AT_ONE:
         return 1.0
     if rhs <= _GAP_AT_L_MAX:
         return L_MAX
+    a, b = _sure_sides(rhs)
     lo, hi = 1.0, L_MAX
     while True:
         mid = 0.5 * (lo + hi)
-        right = _dispersion_gap(mid) > rhs  # the gap decreases: the root lies right of mid
+        # the gap decreases: the root lies right of mid when gap(mid) > rhs
+        right = mid <= a or (mid < b and _dispersion_gap(mid) > rhs)
         if mid == (lo if right else hi):
             return mid  # no bound would move
         lo, hi = (mid, hi) if right else (lo, mid)
 
 
 # For L >= 1, 1/(2L) < ln L - digamma(L) < 1/L (H. Alzer, Math. Comp. 66
-# (1997) 373-389).  The computed gap strays from its true value by ~3.4e-11
-# relative at most, near L_MAX, where the bounds still leave >= 1.7e-5 of
-# room, so a relative margin of 1e-9 on each cut-off is safe.
-_SURELY_ABOVE_GAP = 1.0 + 1e-9
-_SURELY_BELOW_GAP = 0.5 * (1.0 - 1e-9)
+# (1997) 373-389), and closer, the asymptotic series' partial sums bracket
+# the gap: each remainder has the sign of the first term left out and is
+# smaller, so 1/(2L) + 1/(12L^2) - 1/(120L^4) < gap < 1/(2L) + 1/(12L^2)
+# (the tests check both pairs against mpmath).  The computed gap and bounds
+# stray from their true values by ~5e-15 relative at most, so a relative
+# margin of 1e-9 on each cut-off is safe.
+_SCREEN_MARGIN = 1e-9
+_SURELY_ABOVE_GAP = 1.0 + _SCREEN_MARGIN
+_SURELY_BELOW_GAP = 0.5 * (1.0 - _SCREEN_MARGIN)
+_FEW_GAPS = 24  # up to this many, looks_below evaluates the gap float by float
 
 
 def looks_below(rhs, threshold, out=None, work=None, mask=None) -> np.ndarray:
@@ -224,8 +306,10 @@ def looks_below(rhs, threshold, out=None, work=None, mask=None) -> np.ndarray:
     decreases, so the solution lies below the threshold T exactly when rhs
     exceeds T's dispersion gap; the clamped rhs values obey the same
     comparison.  The gap lies between 1/(2T) and 1/T, so rhs T above 1 + 1e-9
-    holds and rhs T at or below (1 - 1e-9) / 2 does not: only the pairs in
-    between, and those whose product is nan, evaluate the gap.
+    holds and rhs T at or below (1 - 1e-9) / 2 does not.  The pairs in
+    between, and those whose product is nan, the band, go through the
+    series' tighter bounds with the same margin, and only the few left
+    between those evaluate the gap.
 
     out (bool), work (float) and mask (bool), arrays of the broadcast shape
     given all three or none, take the result and the intermediates.
@@ -246,8 +330,20 @@ def looks_below(rhs, threshold, out=None, work=None, mask=None) -> np.ndarray:
     np.logical_or(out, np.greater(threshold, L_MAX, out=mask), out=out)
     if band.size:
         rhs, threshold = rhs.flat[band], threshold.flat[band]
-        gap = _dispersion_gap(np.clip(threshold, 1.0, L_MAX))
-        out.flat[band] = (threshold > L_MAX) | ((threshold > 1.0) & (rhs > gap))
+        looks = np.clip(threshold, 1.0, L_MAX)
+        inverse = 1.0 / looks
+        upper = inverse * (0.5 + inverse / 12.0)
+        lower = upper - np.square(inverse * inverse) / 120.0
+        above = rhs > upper * (1.0 + _SCREEN_MARGIN)  # rhs > gap; nan rhs or T stays False
+        unsure = np.flatnonzero(~above & (rhs > lower * (1.0 - _SCREEN_MARGIN)))
+        if unsure.size:
+            # the float form and the array form give the same bits; a few
+            # floats cost less than the array form's ~50 numpy calls
+            looks = looks[unsure]
+            gap = (_dispersion_gap(looks) if unsure.size > _FEW_GAPS
+                   else np.array([_dispersion_gap(x) for x in looks.tolist()]))
+            above[unsure] = rhs[unsure] > gap
+        out.flat[band] = (threshold > L_MAX) | ((threshold > 1.0) & above)
     return out
 
 

@@ -3,6 +3,8 @@ import dataclasses
 import io
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -200,6 +202,30 @@ def test_evaluate_images_too_small_for_q(tmp_path, capsys):
     assert cells["q_mean"] == cells["q_std"] == "NA"
     for name in ("enl", "beta_rho", "mae", "mse", "nmse", "dcon"):
         assert np.isfinite(float(cells[name])), name
+
+
+def test_cold_start_imports_no_scipy(tmp_path):
+    # a fresh interpreter filters a raster and runs a one-task protocol
+    # without loading scipy, whose import would take most of its start-up
+    raw = tmp_path / "in.raw"
+    write_raster(Raster(unit_speckle(4.0, (8, 8), np.random.default_rng(0))), str(raw), "raw")
+    filter_args = ["filter", "--in", str(raw), "--out", str(tmp_path / "out.raw")]
+    protocol_args = ["montecarlo", "--size", "64", "--replicates", "1", "--situations", "1",
+                     "--threads", "1", "--out", str(tmp_path / "mc.csv")]
+    script = (
+        "import sys\n"
+        "from despeckle import cli\n"
+        f"assert cli.main({filter_args!r}) == 0\n"
+        f"assert cli.main({protocol_args!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_masks_subcommand(capsys):

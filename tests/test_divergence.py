@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -213,6 +214,8 @@ def test_chi2_survival_validation():
     with pytest.raises(InvalidArgumentError):
         chi2_survival(1.0, 0)
     with pytest.raises(InvalidArgumentError):
+        chi2_survival(1.0, 3)
+    with pytest.raises(InvalidArgumentError):
         chi2_survival(math.nan, 1)
 
 
@@ -234,6 +237,28 @@ def test_chi2_critical_validation():
             chi2_critical(eta, 1)
     with pytest.raises(InvalidArgumentError):
         chi2_critical(0.1, 0)
+    with pytest.raises(InvalidArgumentError):
+        chi2_critical(0.1, 3)
+
+
+def test_chi2_survival_against_mpmath():
+    # the regularized upper incomplete gamma function Q(dof/2, s/2); at dof 1
+    # the rounding of sqrt(s/2) moves erfc by up to ~s/2 ulps
+    for dof, rel in ((1, 2e-14), (2, 1e-15)):
+        for s in np.concatenate([[0.0], 10.0 ** np.linspace(-8.0, 2.0, 81)]).tolist():
+            with mpmath.workdps(40):
+                want = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(s) / 2, mpmath.inf,
+                                       regularized=True)
+            assert abs(chi2_survival(s, dof) - want) <= rel * want
+
+
+def test_chi2_critical_at_the_sidak_levels_against_mpmath():
+    # 2 erfinv(1 - eta)^2, 1 - eta taken exactly, rounded once to a double
+    for alpha in (0.01, 0.05, 0.1, 0.2, 0.5):
+        eta = sidak_level(alpha, 8)
+        with mpmath.workdps(60):
+            want = float(2 * mpmath.erfinv(1 - mpmath.mpf(eta)) ** 2)
+        assert abs(chi2_critical(eta, 1) - want) <= math.ulp(want)
 
 
 # --------------------------------------------------------- looks thresholds

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,11 +211,11 @@ def _mle_min_shift(values):
 
 
 def test_solve_looks_equals_the_200_step_bisection():
-    gap = lambda L: math.log(L) - special.digamma(L)
+    gap = _dispersion_gap
     g1, gmax = gap(1.0), gap(L_MAX)
     rng = np.random.default_rng(61)
     roots = L_MAX ** rng.random(50_000)  # ln L uniform: roots over the whole range
-    inside = np.concatenate([rng.uniform(gmax, g1, 50_000), np.log(roots) - special.digamma(roots)])
+    inside = np.concatenate([rng.uniform(gmax, g1, 50_000), gap(roots)])
     inside = inside[(inside > gmax) & (inside < g1)]
     assert inside.size > 99_000
     edges = np.array([g1, np.nextafter(g1, 0), np.nextafter(g1, 1), g1 + 1.0,
@@ -257,7 +258,7 @@ def test_shift_zeros_works_row_by_row():
 def test_looks_below_equals_solving():
     # looks_below decides solve_looks(rhs) < T without solving; the two may
     # differ only where T lies within 1e-9 relative of the solved looks
-    gap = lambda L: np.log(L) - special.digamma(L)
+    gap = _dispersion_gap
     g1, gmax = gap(1.0), gap(L_MAX)
     rng = np.random.default_rng(63)
     size = 60_000
@@ -294,7 +295,8 @@ CUTOFFS = (1.0 + 1e-9, 1.0 - 1e-9, 0.5 * (1.0 + 1e-9), 0.5 * (1.0 - 1e-9))
 
 @st.composite
 def screen_pairs(draw):
-    """(rhs, T): rhs on a cut-off over T, on T's gap or one ulp off either,
+    """(rhs, T): rhs on a cut-off over T, on one of the series bounds of T's
+    gap with or without the margin, on T's gap or one ulp off any of these,
     inside the band, 0, negative, nan or infinite, or any rhs, against an
     edge or an ordinary threshold."""
     threshold = draw(st.one_of(
@@ -303,7 +305,7 @@ def screen_pairs(draw):
         st.floats(1.0, L_MAX),
         st.floats(L_MAX * (1.0 - 1e-9), L_MAX * (1.0 + 1e-9)),
     ))
-    kind = draw(st.sampled_from(["cutoff", "gap", "band", "special", "any"]))
+    kind = draw(st.sampled_from(["cutoff", "bound", "gap", "band", "special", "any"]))
     if kind == "special":
         return draw(st.sampled_from([0.0, -0.0, -1e-300, -1.0, np.nan, np.inf, -np.inf])), threshold
     if kind == "any":
@@ -311,6 +313,11 @@ def screen_pairs(draw):
     with np.errstate(all="ignore"):
         if kind == "cutoff":
             rhs = np.divide(draw(st.sampled_from(CUTOFFS)), threshold)
+        elif kind == "bound":
+            inverse = 1.0 / np.clip(threshold, 1.0, L_MAX)
+            upper = inverse * (0.5 + inverse / 12.0)
+            bound = draw(st.sampled_from([upper, upper - inverse**4 / 120.0]))
+            rhs = bound * draw(st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9]))
         elif kind == "gap":
             rhs = _dispersion_gap(np.clip(threshold, 1.0, L_MAX))
         else:
@@ -335,3 +342,39 @@ def test_looks_below_screen_equals_the_gap_comparison(pairs):
         assert np.array_equal(out, want)
         rows = looks_below(rhs[:, None], np.stack([threshold, threshold[::-1]], axis=1))
         assert np.array_equal(rows[:, 0], want)
+
+
+# ---------------------------------------------------------------------------
+# the dispersion gap's digits, against mpmath at 40 digits
+
+
+def test_dispersion_gap_against_mpmath():
+    # log-uniform points over [1, L_MAX], its ends, and 10, where the series
+    # alone takes over, with its two neighbouring doubles; the bounds that
+    # looks_below screens with must bracket the true gap at each
+    rng = stream(64)
+    points = np.concatenate([L_MAX ** rng.random(600),
+                             [1.0, np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, 20.0), L_MAX]])
+    got = _dispersion_gap(points)
+    with mpmath.workdps(40):
+        for x, computed in zip(points.tolist(), got.tolist()):
+            L = mpmath.mpf(x)
+            true = mpmath.log(L) - mpmath.digamma(L)
+            assert abs(computed - true) <= 2e-14 * true  # solve_looks relies on 5e-14
+            assert 1 / (2 * L) < true < 1 / L
+            upper = 1 / (2 * L) + 1 / (12 * L**2)
+            assert upper - 1 / (120 * L**4) < true < upper
+
+
+def test_dispersion_gap_at_one_is_euler_gamma():
+    euler = float(mpmath.euler)
+    assert abs(_dispersion_gap(1.0) - euler) <= 4 * math.ulp(euler)
+
+
+def test_dispersion_gap_float_and_array_forms_agree():
+    # solve_looks evaluates floats and looks_below arrays, or floats when few
+    rng = stream(65)
+    points = np.concatenate([L_MAX ** rng.random(9_000), rng.uniform(9.0, 11.0, 1_000)])
+    floats = [_dispersion_gap(x) for x in points.tolist()]
+    assert all(type(g) is float for g in floats)
+    assert np.array(floats).tobytes() == _dispersion_gap(points).tobytes()
