@@ -295,7 +295,6 @@ def solve_looks(rhs: float) -> float:
 _SCREEN_MARGIN = 1e-9
 _SURELY_ABOVE_GAP = 1.0 + _SCREEN_MARGIN
 _SURELY_BELOW_GAP = 0.5 * (1.0 - _SCREEN_MARGIN)
-_FEW_GAPS = 24  # up to this many, looks_below evaluates the gap float by float
 
 
 def looks_below(rhs, threshold, out=None, work=None, mask=None) -> np.ndarray:
@@ -337,11 +336,10 @@ def looks_below(rhs, threshold, out=None, work=None, mask=None) -> np.ndarray:
         above = rhs > upper * (1.0 + _SCREEN_MARGIN)  # rhs > gap; nan rhs or T stays False
         unsure = np.flatnonzero(~above & (rhs > lower * (1.0 - _SCREEN_MARGIN)))
         if unsure.size:
-            # the float form and the array form give the same bits; a few
-            # floats cost less than the array form's ~50 numpy calls
-            looks = looks[unsure]
-            gap = (_dispersion_gap(looks) if unsure.size > _FEW_GAPS
-                   else np.array([_dispersion_gap(x) for x in looks.tolist()]))
+            # a handful of pairs (at most 8 per call on a filter-scene
+            # strip), where floats cost less than the array form's ~50 numpy
+            # calls; both forms give the same bits
+            gap = [_dispersion_gap(x) for x in looks[unsure].tolist()]
             above[unsure] = rhs[unsure] > gap
         out.flat[band] = (threshold > L_MAX) | ((threshold > 1.0) & above)
     return out
