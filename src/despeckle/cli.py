@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 
-from .divergence import KINDS, TestConfig
+from .divergence import DOFS, KINDS, RENYI_ORDERS, SHARED_LOOKS, TestConfig
 from .errors import DespeckleError, InvalidArgumentError
 from .harness import (
     SITUATIONS,
@@ -27,8 +27,8 @@ from .harness import (
 )
 from .lee import LeeSpec, lee_filter
 from .metrics import METRIC_HEADER, compute_report
-from .nmfilter import FilterSpec, filter_image, mask_table_text
-from .phantom import default_geometry, read_geometry
+from .nmfilter import WINDOWS, FilterSpec, filter_image, mask_table_text
+from .phantom import SIZES, default_geometry, read_geometry
 from .raster import FORMATS, read_raster, write_raster
 
 
@@ -49,6 +49,15 @@ def _seed(flag: int | None = None) -> int:
 def _add_format(p):
     p.add_argument("--format", choices=FORMATS, default="raw",
                    help="raster file format (default raw)")
+
+
+def _add_test_flags(p, defaults):
+    """--dof, --shared and --beta, defaulting to defaults' fields (a TestConfig or RunPlan)."""
+    p.add_argument("--dof", type=int, choices=DOFS, default=defaults.dof)
+    p.add_argument("--shared", choices=SHARED_LOOKS, default=defaults.shared_looks,
+                   help="looks estimate shared by the test statistics")
+    p.add_argument("--beta", type=float, default=defaults.renyi_order,
+                   help=f"Renyi order in {RENYI_ORDERS}")
 
 
 def _geometry(path, size=None):
@@ -77,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phantom", help="write a noiseless test phantom")
     p.add_argument("--situation", type=int, choices=sorted(SITUATIONS), default=1)
-    p.add_argument("--size", type=int, default=128, choices=(64, 128))
+    p.add_argument("--size", type=int, default=128, choices=SIZES)
     p.add_argument("--geometry", help="geometry file overriding the built-in layout")
     p.add_argument("--out", required=True)
     _add_format(p)
@@ -99,16 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--filter", dest="kind", default=spec.test.kind, choices=KINDS + ("lee",))
-    p.add_argument("--window", type=int, choices=(5, 7), default=spec.window)
+    p.add_argument("--window", type=int, choices=WINDOWS, default=spec.window)
     p.add_argument("--alpha", type=float, default=spec.test.alpha,
                    help="overall significance of the 8-test series (default %(default)s)")
-    p.add_argument("--beta", type=float, default=spec.test.renyi_order,
-                   help="Renyi order in [2**-53, 1)")
     p.add_argument("--looks", type=float, default=LeeSpec().nominal_looks,
                    help="nominal looks for the lee filter (default %(default)s)")
-    p.add_argument("--dof", type=int, choices=(1, 2), default=spec.test.dof)
-    p.add_argument("--shared", choices=("pooled", "sample1"), default=spec.test.shared_looks,
-                   help="looks estimate shared by the test statistics")
+    _add_test_flags(p, spec.test)
     p.add_argument("--threads", type=int, default=1,
                    help="ignored, but must be >= 1: the filter runs in one thread, so the"
                         " value never changes the output (default 1)")
@@ -119,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--geometry", help="geometry file enabling the ground-truth metrics")
-    p.add_argument("--geometry-size", type=int, choices=(64, 128),
+    p.add_argument("--geometry-size", type=int, choices=SIZES,
                    help="use the built-in geometry of this size")
     _add_format(p)
     p.set_defaults(func=cmd_evaluate)
@@ -129,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, help="default: DESPECKLE_SEED, else 0")
     p.add_argument("--fast", action="store_true", help="64x64 phantom, 20 replicates")
-    p.add_argument("--size", type=int, choices=(64, 128))
+    p.add_argument("--size", type=int, choices=SIZES)
     p.add_argument("--replicates", type=int)
     p.add_argument("--situations", default=_join(plan.situations),
                    help="comma-separated subset of 1..4")
@@ -137,9 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated overall significance levels")
     p.add_argument("--filters", default=_filters_text(plan.filters),
                    help="comma-separated kind[:window] entries")
-    p.add_argument("--dof", type=int, choices=(1, 2), default=plan.dof)
-    p.add_argument("--shared", choices=("pooled", "sample1"), default=plan.shared_looks)
-    p.add_argument("--beta", type=float, default=plan.renyi_order)
+    _add_test_flags(p, plan)
     p.add_argument("--geometry", help="geometry file replacing the built-in layout")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes, forked (POSIX only), one (situation, replicate)"
@@ -148,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("masks", help="print the committed region mask tables")
-    p.add_argument("--window", type=int, choices=(5, 7), default=5)
+    p.add_argument("--window", type=int, choices=WINDOWS, default=spec.window)
     p.set_defaults(func=cmd_masks)
 
     return parser
@@ -164,8 +167,6 @@ def cmd_phantom(args) -> int:
 def cmd_corrupt(args) -> int:
     img = read_raster(args.infile, args.format)
     sit = SITUATIONS[args.situation]
-    if args.replicate < 0:
-        raise InvalidArgumentError(f"--replicate must be >= 0, got {args.replicate}")
     stream = replicate_stream(_seed(args.seed), sit.id, args.replicate)
     write_raster(corrupt(img, sit, stream), args.out, args.format)
     return 0

@@ -30,6 +30,8 @@ from .errors import DomainError, InvalidArgumentError
 from .gamma import GammaParams, into_range, mle
 
 KINDS = ("hellinger", "kl", "renyi")
+DOFS = (1, 2)  # the chi-square degrees of freedom a test may take
+SHARED_LOOKS = ("pooled", "sample1")  # the looks estimates a test may share
 
 # The filter tests each of the eight oriented regions against the central block.
 NUM_TESTS = 8
@@ -39,6 +41,7 @@ NUM_TESTS = 8
 # and a subnormal one overflows the 1 / (beta (beta - 1)) factor to -inf,
 # which times a zero log term is nan.
 MIN_RENYI_ORDER = 2.0**-53
+RENYI_ORDERS = "[2**-53, 1)"  # [MIN_RENYI_ORDER, 1), as messages and help name it
 
 
 @dataclass(frozen=True)
@@ -62,13 +65,13 @@ class TestConfig:
         if self.kind not in KINDS:
             raise InvalidArgumentError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.kind == "renyi" and not MIN_RENYI_ORDER <= self.renyi_order < 1.0:
-            raise InvalidArgumentError("renyi_order must be in [2**-53, 1)")
+            raise InvalidArgumentError(f"renyi_order must be in {RENYI_ORDERS}")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidArgumentError("alpha must be in (0, 1)")
-        if self.dof not in (1, 2):
+        if self.dof not in DOFS:
             raise InvalidArgumentError("dof must be 1 or 2")
-        if self.shared_looks not in ("pooled", "sample1"):
-            raise InvalidArgumentError("shared_looks must be 'pooled' or 'sample1'")
+        if self.shared_looks not in SHARED_LOOKS:
+            raise InvalidArgumentError(f"shared_looks must be one of {SHARED_LOOKS}")
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,7 @@ def renyi_stat(
     p1: GammaParams, pi: GammaParams, m: int, n: int, shared_L: float, beta: float = 0.5
 ) -> float:
     """renyi_stat_array on one validated pair of fits."""
-    if not MIN_RENYI_ORDER <= beta < 1.0:
-        raise InvalidArgumentError("beta must be in [2**-53, 1)")
+    TestConfig(kind="renyi", renyi_order=beta)  # refuses an order outside RENYI_ORDERS
     _check_stat_inputs(p1.mean, pi.mean, m, n, shared_L)
     return float(renyi_stat_array(p1.mean, pi.mean, m, n, shared_L, beta))
 
@@ -123,8 +125,7 @@ def renyi_stat(
 def chi2_survival(s: float, dof: int) -> float:
     """Pr(chi2_dof > s) for dof 1 or 2: erfc(sqrt(s/2)) at dof 1, exp(-s/2) at
     dof 2."""
-    if dof not in (1, 2):
-        raise InvalidArgumentError("dof must be 1 or 2")
+    TestConfig(dof=dof)  # refuses a dof outside DOFS
     if not math.isfinite(s) or s < 0.0:
         raise InvalidArgumentError("statistic must be finite and >= 0")
     return math.erfc(math.sqrt(s / 2.0)) if dof == 1 else math.exp(-s / 2.0)
@@ -146,8 +147,7 @@ def _erfcinv(eta: float) -> float:
 def chi2_critical(eta: float, dof: int) -> float:
     """The s with chi2_survival(s, dof) == eta, for dof 1 or 2: 2 erfcinv(eta)^2
     at dof 1, -2 ln eta at dof 2."""
-    if dof not in (1, 2):
-        raise InvalidArgumentError("dof must be 1 or 2")
+    TestConfig(dof=dof)  # refuses a dof outside DOFS
     if not 0.0 < eta < 1.0:
         raise InvalidArgumentError("eta must be in (0, 1)")
     if dof == 2:

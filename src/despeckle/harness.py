@@ -15,9 +15,7 @@ Rows are sorted before writing, making the CSV byte-stable.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -30,7 +28,7 @@ from .gamma import unit_speckle
 from .lee import LeeSpec, lee_filter
 # compute_report stays bound here, unread: perfbench's traced run rebinds it by name
 from .metrics import MetricReport, Reference, compute_report, csv_cell
-from .nmfilter import FilterSpec, filter_image
+from .nmfilter import WINDOWS, FilterSpec, filter_image
 from .phantom import PhantomGeometry, default_geometry, render_phantom
 from .raster import Raster
 
@@ -81,7 +79,11 @@ def make_phantom(geom: PhantomGeometry, sit: Situation) -> Raster:
 
 
 def replicate_stream(master_seed: int, situation_id: int, replicate: int) -> np.random.Generator:
-    """The RNG stream owned by one (situation, replicate) pair."""
+    """The RNG stream owned by one (situation, replicate) pair, keyed by counts."""
+    for key in (master_seed, situation_id, replicate):
+        check_integer(key, "a stream key")
+        if key < 0:
+            raise InvalidArgumentError(f"stream keys must be >= 0, got {key}")
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((master_seed, situation_id, replicate)))
     )
@@ -125,7 +127,7 @@ class RunPlan:
                 raise InvalidArgumentError(f"unknown filter kind {kind!r}")
             if kind != "input":
                 check_integer(window, f"filter {kind!r} window")
-                if window not in (5, 7):
+                if window not in WINDOWS:
                     raise InvalidArgumentError(f"filter {kind!r} needs window 5 or 7")
         for level in self.levels:
             if not 0.0 < level < 1.0:
@@ -222,6 +224,7 @@ def run_protocol(plan: RunPlan, geom: PhantomGeometry | None = None, threads: in
     (DeprecationWarning) that forking a process with live threads can
     deadlock: numpy's OpenBLAS starts native threads at import.
     """
+    check_integer(threads, "threads")
     if threads < 1:
         raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
     if geom is None:
@@ -235,6 +238,9 @@ def run_protocol(plan: RunPlan, geom: PhantomGeometry | None = None, threads: in
     if workers <= 1:
         chunks = list(map(partial(_replicate_rows, plan, references), tasks))
     else:
+        # imported here, so that a run in this process never loads the pool
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_init_worker,
                                  initargs=(plan, references)) as pool:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, check_integer
 from .gamma import range_shift
-from .raster import Raster
+from .raster import Raster, pad_for_window
 from .windows import ROW_SUM_MAX, flat_cells, on_grid, window_max, window_moments
 
 
@@ -46,11 +46,7 @@ class LeeSpec:
 
 def lee_filter(img: Raster, spec: LeeSpec) -> Raster:
     size = spec.window
-    if img.width < size or img.height < size:
-        raise InvalidArgumentError(
-            f"image {img.height}x{img.width} smaller than the {size}x{size} window"
-        )
-    padded = np.pad(img.array, size // 2, mode="reflect")
+    padded = pad_for_window(img, size)
     shift = range_shift(padded.min(), padded.max(), lambda: window_max(padded, size))
     mean, var = window_moments(padded, size, shift)
     centre = flat_cells(padded, size)[size * size // 2]  # the image's pixels

@@ -45,7 +45,7 @@ from .divergence import (
 )
 from .errors import InvalidArgumentError, OutOfBoundsError, check_integer
 from .gamma import looks_below, range_shift, shift_zeros, solve_looks
-from .raster import Raster
+from .raster import Raster, pad_for_window
 from .windows import sum_rows
 
 REGION_NAMES = (
@@ -111,12 +111,13 @@ def _geometry(window: int) -> tuple:
     return masks, (central, gathers, indicators)
 
 
-_GEOMETRY = {window: _geometry(window) for window in (5, 7)}  # built once, at import
+WINDOWS = (5, 7)  # the window sizes with committed masks
+_GEOMETRY = {window: _geometry(window) for window in WINDOWS}  # built once, at import
 
 
 def nm_masks(window: int) -> tuple:
     """The nine committed region masks for a 5x5 or 7x7 window."""
-    if window not in (5, 7):
+    if window not in WINDOWS:
         raise InvalidArgumentError(f"window must be 5 or 7, got {window}")
     return _GEOMETRY[window][0]
 
@@ -153,8 +154,7 @@ class FilterSpec:
 
     def __post_init__(self):
         check_integer(self.window, "window")
-        if self.window not in (5, 7):
-            raise InvalidArgumentError(f"window must be 5 or 7, got {self.window}")
+        nm_masks(self.window)
 
     @property
     def masks(self) -> tuple:
@@ -339,11 +339,7 @@ def filter_image(img: Raster, spec: FilterSpec) -> Raster:
     The engine runs in the caller's thread on blocks of whole rows, about
     BLOCK_PIXELS centres each, into one set of arrays reused block after block.
     """
-    if img.width < spec.window or img.height < spec.window:
-        raise InvalidArgumentError(
-            f"image {img.height}x{img.width} smaller than the {spec.window}x{spec.window} window"
-        )
-    padded = np.pad(img.array, spec.window // 2, mode="reflect")
+    padded = pad_for_window(img, spec.window)
     plan = _plan(spec)
     rows = max(1, BLOCK_PIXELS // img.width)
     buffers = _Buffers(plan, rows * img.width)

@@ -127,31 +127,35 @@ class PhantomGeometry:
             raise InvalidArgumentError("background region overlaps a feature")
 
 
+_LAYOUTS = {  # the committed layouts: 128x128 (full runs) and 64x64 (fast profile)
+    128: PhantomGeometry(
+        size=128,
+        block=(8, 88, 40, 120),
+        hline=(52, 8, 120),
+        vline=(60, 60, 120),
+        diag=(64, 64, 40),
+        points=tuple((r, c) for r in (72, 84, 96, 108) for c in (8, 20, 32, 44)),
+        background=(8, 8, 48, 48),
+    ),
+    64: PhantomGeometry(
+        size=64,
+        block=(4, 44, 20, 60),
+        hline=(26, 4, 60),
+        vline=(30, 30, 60),
+        diag=(32, 32, 20),
+        points=tuple((r, c) for r in (36, 42, 48, 54) for c in (4, 10, 16, 22)),
+        background=(4, 4, 24, 24),
+    ),
+}
+SIZES = tuple(sorted(_LAYOUTS))  # the sizes with a committed layout
+
+
 def default_geometry(size: int = 128) -> PhantomGeometry:
-    """The committed layouts: 128x128 (full runs) and 64x64 (fast profile)."""
-    if size == 128:
-        return PhantomGeometry(
-            size=128,
-            block=(8, 88, 40, 120),
-            hline=(52, 8, 120),
-            vline=(60, 60, 120),
-            diag=(64, 64, 40),
-            points=tuple((r, c) for r in (72, 84, 96, 108) for c in (8, 20, 32, 44)),
-            background=(8, 8, 48, 48),
-        )
-    if size == 64:
-        return PhantomGeometry(
-            size=64,
-            block=(4, 44, 20, 60),
-            hline=(26, 4, 60),
-            vline=(30, 30, 60),
-            diag=(32, 32, 20),
-            points=tuple((r, c) for r in (36, 42, 48, 54) for c in (4, 10, 16, 22)),
-            background=(4, 4, 24, 24),
-        )
-    raise InvalidArgumentError(
-        f"no committed geometry for size {size}; supply a geometry file instead"
-    )
+    """The committed layout of a size in SIZES."""
+    if size not in SIZES:
+        raise InvalidArgumentError(
+            f"no committed geometry for size {size}; supply a geometry file instead")
+    return _LAYOUTS[size]
 
 
 def render_phantom(geom: PhantomGeometry, strip_value: float, background_value: float) -> Raster:

@@ -30,17 +30,16 @@ FORMATS = ("ascii", "raw", "pgm")
 
 
 class Raster:
-    """Immutable 2-D array of finite, non-negative intensities."""
+    """Immutable 2-D array of finite, non-negative intensities, in a private copy."""
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.array(values, dtype=np.float64, order="C")
         if arr.ndim != 2 or arr.size == 0:
             raise InvalidArgumentError("raster must be a non-empty 2-D array")
         if not np.all(np.isfinite(arr)):
             raise InvalidArgumentError("raster values must be finite")
         if np.any(arr < 0):
             raise InvalidArgumentError("raster values must be >= 0")
-        arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         self._arr = arr
 
@@ -90,6 +89,15 @@ def pad_mirror(img: Raster, margin: int) -> Raster:
             f"margin {margin} too large for {img.height}x{img.width} raster"
         )
     return Raster(np.pad(img.array, margin, mode="reflect"))
+
+
+def pad_for_window(img: Raster, window: int) -> np.ndarray:
+    """img's array mirror-padded by window // 2: the padded image a window x
+    window filter reads.  The image must hold one window."""
+    if img.width < window or img.height < window:
+        raise InvalidArgumentError(
+            f"image {img.height}x{img.width} smaller than the {window}x{window} window")
+    return np.pad(img.array, window // 2, mode="reflect")
 
 
 def extract(img: Raster, center: tuple[int, int], mask) -> np.ndarray:

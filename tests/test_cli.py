@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -21,8 +22,12 @@ from despeckle import (
     Raster,
     RunPlan,
     cli,
+    divergence,
     fast_plan,
     harness,
+    nmfilter,
+    phantom,
+    raster,
     read_raster,
     unit_speckle,
     write_raster,
@@ -206,7 +211,8 @@ def test_evaluate_images_too_small_for_q(tmp_path, capsys):
 
 def test_cold_start_imports_no_scipy(tmp_path):
     # a fresh interpreter filters a raster and runs a one-task protocol
-    # without loading scipy, whose import would take most of its start-up
+    # without loading scipy, whose import would take most of its start-up,
+    # or the process pool, which only a protocol on more than one worker uses
     raw = tmp_path / "in.raw"
     write_raster(Raster(unit_speckle(4.0, (8, 8), np.random.default_rng(0))), str(raw), "raw")
     filter_args = ["filter", "--in", str(raw), "--out", str(tmp_path / "out.raw")]
@@ -218,6 +224,8 @@ def test_cold_start_imports_no_scipy(tmp_path):
         f"assert cli.main({filter_args!r}) == 0\n"
         f"assert cli.main({protocol_args!r}) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -225,7 +233,52 @@ def test_cold_start_imports_no_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert done.stdout.splitlines()[-2:] == ["[]", "[]"]
+
+
+def test_parser_choices_are_the_library_sets():
+    # every set a flag offers is read from the module that owns it, and that
+    # module accepts exactly the set: a set written twice could drift apart
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def choices(command, flag):
+        action = next(a for a in commands[command]._actions if flag in a.option_strings)
+        return tuple(action.choices)
+
+    def accepted(call, value):
+        try:
+            call(value)
+        except InvalidArgumentError:
+            return False
+        return True
+
+    assert choices("filter", "--window") == choices("masks", "--window") == nmfilter.WINDOWS
+    for spec in (lambda w: FilterSpec(window=w), lambda w: RunPlan(filters=(("lee", w),)),
+                 lambda w: RunPlan(filters=(("kl", w),))):
+        assert [w for w in range(12) if accepted(spec, w)] == list(nmfilter.WINDOWS)
+    for command in ("filter", "montecarlo"):
+        assert choices(command, "--dof") == divergence.DOFS
+        assert choices(command, "--shared") == divergence.SHARED_LOOKS
+    for check in (lambda d: divergence.TestConfig(dof=d),
+                  lambda d: divergence.chi2_survival(1.0, d),
+                  lambda d: divergence.chi2_critical(0.5, d)):
+        assert [d for d in range(-1, 5) if accepted(check, d)] == list(divergence.DOFS)
+    assert [s for s in ("pooled", "sample1", "sample2", "")
+            if accepted(lambda s: divergence.TestConfig(shared_looks=s), s)] == list(
+        divergence.SHARED_LOOKS)
+    sizes = (choices("phantom", "--size"), choices("evaluate", "--geometry-size"),
+             choices("montecarlo", "--size"))
+    assert sizes == (phantom.SIZES,) * 3 and list(phantom.SIZES) == sorted(phantom.SIZES)
+    assert [n for n in range(16, 257, 16) if accepted(phantom.default_geometry, n)] == list(
+        phantom.SIZES)
+    assert all(phantom.default_geometry(n).size == n for n in phantom.SIZES)
+    assert choices("filter", "--filter") == divergence.KINDS + ("lee",)
+    assert set(harness.FILTER_KINDS) == {"input", "lee", *divergence.KINDS}
+    for command in ("phantom", "corrupt"):
+        assert choices(command, "--situation") == tuple(sorted(harness.SITUATIONS))
+    for command in ("phantom", "corrupt", "filter", "evaluate"):
+        assert choices(command, "--format") == raster.FORMATS
 
 
 def test_masks_subcommand(capsys):
@@ -356,88 +409,115 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
 
 
 # ---------------------------------------------- the exit-code contract, drawn
+#
+# Half the drawn calls are usable: each of their flags takes one of its usable
+# values and each input file is a whole speckled raster, so the success paths
+# run often.  The other half draw every value, usable or not.
 
 HUGE = str(10**30)
 NUMBERS = ("0", "1", "-1", "nan", "inf", "-inf", "1e308", "1e-320", HUGE, "-" + HUGE)
 # drawn for --replicates and --threads: never more than 2 replicates or workers
 SMALL_COUNTS = ("0", "1", "2", "-1", "nan", "inf", "1e308", "1e-320", "-" + HUGE)
+USABLE_COUNTS = ("1", "2")
 # a bad DESPECKLE_SEED fails every call, so most calls leave it unset
 ENV_SEEDS = (None,) * 8 + ("", "0", "-1", "nan", "1e3", " 5 ", "0x10", HUGE, "-" + HUGE, "\u0663")
+USABLE_ENV_SEEDS = (None, "0", " 5 ", "\u0663")
 # list entries: good ones repeated, so a drawn list often holds no bad one
-FILTER_ENTRIES = ("input", "lee:5", "hellinger:5", "kl:7", "renyi:5") * 3 + (
+USABLE_FILTERS = ("input", "lee:5", "hellinger:5", "kl:7", "renyi:5")
+FILTER_ENTRIES = USABLE_FILTERS * 3 + (
     "lee:3", "bogus", "hellinger", "lee:x", "lee:5:7", "kl:" + HUGE, "")
-LEVEL_ENTRIES = ("0.2", "0.01") * 4 + ("0", "1", "-1", "nan", "inf", "1e-320", "1e308", "x", "")
-SITUATION_ENTRIES = ("1", "2", "3", "4") * 2 + ("0", "5", "-1", "x", "", HUGE)
+USABLE_LEVELS = ("0.2", "0.01")
+LEVEL_ENTRIES = USABLE_LEVELS * 4 + ("0", "1", "-1", "nan", "inf", "1e-320", "1e308", "x", "")
+USABLE_SITUATIONS = ("1", "2", "3", "4")
+SITUATION_ENTRIES = USABLE_SITUATIONS * 2 + ("0", "5", "-1", "x", "", HUGE)
 
 
-def draw_raster_file(data, directory, name):
-    """A raster on disk for an input flag: 3x3, 8x8 or 64x64, speckled or all
-    zero, whole or truncated, in a drawn format, or a path with no file."""
+def draw_raster_file(data, directory, name, usable, like=None):
+    """A raster on disk for an input flag, its format and side: 3x3, 8x8 or
+    64x64, speckled or all zero, whole or truncated, in a drawn format, or a
+    path with no file (side None).  A usable one is a whole speckled 8x8 or
+    64x64 raster, of the (format, side) like when given."""
     path = os.path.join(directory, name)
-    fmt = data.draw(st.sampled_from(("raw", "ascii", "pgm")))
-    content = data.draw(st.sampled_from(("speckle", "speckle", "zero", "truncated", "missing")))
-    if content != "missing":
-        side = data.draw(st.sampled_from((8, 64, 3)))
+    if usable:
+        content = "speckle"
+        fmt, side = like or (data.draw(st.sampled_from(("raw", "ascii", "pgm"))),
+                             data.draw(st.sampled_from((8, 64))))
+    else:
+        fmt = data.draw(st.sampled_from(("raw", "ascii", "pgm")))
+        content = data.draw(st.sampled_from(("speckle", "speckle", "zero", "truncated", "missing")))
+        side = None if content == "missing" else data.draw(st.sampled_from((8, 64, 3)))
+    if side is not None:
         values = 100.0 * unit_speckle(2.0, (side, side), np.random.default_rng(side))
         write_raster(Raster(values if content != "zero" else 0.0 * values), path, fmt)
         if content == "truncated":
             with open(path, "r+b") as fh:
                 fh.truncate(os.path.getsize(path) // 2)
-    return path, fmt
+    return path, fmt, side
 
 
-def draw_flags(data, choices):
-    """Up to two of the (flag, values) choices, each given one drawn value; the
-    others keep their defaults, so a drawn call often gets past validation."""
+def draw_flags(data, usable, choices):
+    """Up to two of the (flag, values, usable values) choices, each given one
+    drawn value; the others keep their defaults, so a drawn call often gets
+    past validation."""
     picked = data.draw(st.lists(st.sampled_from(choices), max_size=2, unique_by=lambda c: c[0]))
-    return [arg for flag, values in picked for arg in (flag, data.draw(st.sampled_from(values)))]
+    return [arg for flag, values, good in picked
+            for arg in (flag, data.draw(st.sampled_from(good if usable else values)))]
 
 
-def draw_list(data, entries):
-    return ",".join(data.draw(st.lists(st.sampled_from(entries), min_size=1, max_size=2)))
+def draw_list(data, usable, entries, good):
+    """One or two entries joined by commas; a usable list repeats none."""
+    pool = st.sampled_from(good if usable else entries)
+    return ",".join(data.draw(st.lists(pool, min_size=1, max_size=2, unique=usable)))
 
 
-def draw_command(data, directory):
+def draw_command(data, directory, usable):
     """A despeckle command line and the output file it names, if any."""
     out = os.path.join(directory, "out")
-    fmt = ("--format", ("raw", "ascii", "pgm"))
+    fmt = ("--format", ("raw", "ascii", "pgm"), ("raw", "ascii", "pgm"))
+    situation = ("--situation", NUMBERS + ("4",), ("1", "4"))
+    window = ("--window", NUMBERS + ("5", "7"), ("5", "7"))
     command = data.draw(st.sampled_from(
         ("phantom", "corrupt", "filter", "evaluate", "montecarlo", "masks")))
     if command == "phantom":
         # --size 128 is left out: every drawn image is at most 64x64
-        argv = ["--out", out] + draw_flags(data, [
-            ("--situation", NUMBERS + ("4",)), ("--size", NUMBERS + ("64",)), fmt])
+        argv = ["--out", out] + draw_flags(data, usable, [
+            situation, ("--size", NUMBERS + ("64",), ("64",)), fmt])
     elif command == "corrupt":
-        infile, infmt = draw_raster_file(data, directory, "in")
-        argv = ["--in", infile, "--out", out, "--format", infmt] + draw_flags(data, [
-            ("--situation", NUMBERS + ("4",)), ("--seed", NUMBERS), ("--replicate", NUMBERS)])
+        infile, infmt, _ = draw_raster_file(data, directory, "in", usable)
+        argv = ["--in", infile, "--out", out, "--format", infmt] + draw_flags(data, usable, [
+            situation, ("--seed", NUMBERS, ("0", "1")), ("--replicate", NUMBERS, ("0", "1"))])
     elif command == "filter":
-        infile, infmt = draw_raster_file(data, directory, "in")
+        infile, infmt, _ = draw_raster_file(data, directory, "in", usable)
         kind = data.draw(st.sampled_from(("hellinger", "kl", "renyi", "lee")))
         argv = ["--in", infile, "--out", out, "--format", infmt, "--filter", kind]
-        argv += draw_flags(data, [
-            ("--window", NUMBERS + ("5", "7")), ("--alpha", NUMBERS + ("0.2",)),
-            ("--beta", NUMBERS + ("0.5",)), ("--looks", NUMBERS + ("3",)),
-            ("--dof", NUMBERS + ("2",)), ("--shared", ("pooled", "sample1")),
-            ("--threads", SMALL_COUNTS)])
+        argv += draw_flags(data, usable, [
+            window, ("--alpha", NUMBERS + ("0.2",), ("0.2",)),
+            ("--beta", NUMBERS + ("0.5",), ("0.5",)), ("--looks", NUMBERS + ("3",), ("1", "3")),
+            ("--dof", NUMBERS + ("2",), ("1", "2")),
+            ("--shared", ("pooled", "sample1"), ("pooled", "sample1")),
+            ("--threads", SMALL_COUNTS, USABLE_COUNTS)])
     elif command == "evaluate":
-        (ref, reffmt), (test, _) = (draw_raster_file(data, directory, name)
-                                    for name in ("ref", "test"))
-        argv = ["--ref", ref, "--test", test, "--format", reffmt] + draw_flags(data, [
-            ("--geometry-size", NUMBERS + ("64", "128"))])
+        # a usable test image has the reference's format and size
+        ref, reffmt, side = draw_raster_file(data, directory, "ref", usable)
+        test, _, _ = draw_raster_file(data, directory, "test", usable, like=(reffmt, side))
+        argv = ["--ref", ref, "--test", test, "--format", reffmt] + draw_flags(data, usable, [
+            ("--geometry-size", NUMBERS + ("64", "128"), ("64",))])
         out = None
     elif command == "montecarlo":
         # the list flags and --replicates are always given: their defaults
         # run every situation and filter, 20 replicates each
+        replicates = ("1", "2") * 3 + SMALL_COUNTS
         argv = ["--fast", "--out", out,
-                "--replicates", data.draw(st.sampled_from(("1", "2") * 3 + SMALL_COUNTS)),
-                "--situations", draw_list(data, SITUATION_ENTRIES),
-                "--filters", draw_list(data, FILTER_ENTRIES)] + draw_flags(data, [
-            ("--levels", (draw_list(data, LEVEL_ENTRIES),)), ("--seed", NUMBERS),
-            ("--size", NUMBERS + ("64",)), ("--dof", NUMBERS + ("2",)),
-            ("--beta", NUMBERS + ("0.5",)), ("--threads", SMALL_COUNTS)])
+                "--replicates", data.draw(st.sampled_from(USABLE_COUNTS if usable else replicates)),
+                "--situations", draw_list(data, usable, SITUATION_ENTRIES, USABLE_SITUATIONS),
+                "--filters", draw_list(data, usable, FILTER_ENTRIES, USABLE_FILTERS)]
+        levels = draw_list(data, usable, LEVEL_ENTRIES, USABLE_LEVELS)
+        argv += draw_flags(data, usable, [
+            ("--levels", (levels,), (levels,)), ("--seed", NUMBERS, ("0", "1")),
+            ("--size", NUMBERS + ("64",), ("64",)), ("--dof", NUMBERS + ("2",), ("1", "2")),
+            ("--beta", NUMBERS + ("0.5",), ("0.5",)), ("--threads", SMALL_COUNTS, USABLE_COUNTS)])
     else:
-        argv = draw_flags(data, [("--window", NUMBERS + ("5", "7"))])
+        argv = draw_flags(data, usable, [window])
         out = None
     return [command] + argv, out
 
@@ -449,8 +529,9 @@ def test_every_command_line_exits_0_1_or_2(data):
     # guard (a RuntimeWarning raises under this suite's warning filter), and a
     # usage error leaves no output file behind
     with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
-        argv, out = draw_command(data, directory)
-        seed = data.draw(st.sampled_from(ENV_SEEDS))
+        usable = data.draw(st.booleans())
+        argv, out = draw_command(data, directory, usable)
+        seed = data.draw(st.sampled_from(USABLE_ENV_SEEDS if usable else ENV_SEEDS))
         if seed is None:
             mp.delenv("DESPECKLE_SEED", raising=False)
         else:

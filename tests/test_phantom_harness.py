@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import multiprocessing
@@ -225,6 +226,14 @@ def test_replicate_stream_determinism():
     assert not np.array_equal(a, c)
 
 
+def test_replicate_stream_refuses_a_key_that_is_not_a_count():
+    # numpy's SeedSequence raised its own ValueError on a negative key
+    for key in (-1, 1.5):
+        for keys in ((key, 2, 7), (5, key, 7), (5, 2, key)):
+            with pytest.raises(InvalidArgumentError, match="stream key"):
+                replicate_stream(*keys)
+
+
 def test_corrupt_rejects_nonpositive_phantom():
     arr = np.ones((16, 16))
     arr[3, 3] = 0.0
@@ -378,6 +387,10 @@ def test_run_protocol_refuses_fewer_than_one_worker(monkeypatch):
     for threads in (0, -2):
         with pytest.raises(InvalidArgumentError, match="threads must be >= 1"):
             run_protocol(tiny_plan(), threads=threads)
+    # these reached ProcessPoolExecutor, which raised TypeError
+    for threads in (float("nan"), 1.5, True):
+        with pytest.raises(InvalidArgumentError, match="threads must be an integer"):
+            run_protocol(tiny_plan(), threads=threads)
 
 
 def test_run_protocol_thread_count_is_invisible(tmp_path):
@@ -414,7 +427,7 @@ def test_run_protocol_caps_workers_at_the_usable_cpus(monkeypatch, tmp_path):
 
     plan = dataclasses.replace(tiny_plan(), situations=(1, 2, 3, 4), filters=(("input", None),))
     write_csv(run_protocol(plan), tmp_path / "t1.csv")
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(harness, "_worker_protocol", None)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     write_csv(run_protocol(plan, threads=64), tmp_path / "t64.csv")

@@ -38,6 +38,20 @@ def test_raster_is_immutable():
         r.array[0, 0] = 5.0
 
 
+def test_raster_keeps_its_pixels_to_itself():
+    # the raster once froze the caller's array and shared its memory, so the
+    # caller could not write it and a view taken earlier changed the raster
+    a = np.ones((3, 3))
+    v = a[:]
+    r = Raster(a)
+    before = hash(r)
+    a[0, 0] = 5.0
+    v[1, 1] = 7.0
+    assert a[0, 0] == 5.0 and a[1, 1] == 7.0
+    assert np.array_equal(r.array, np.ones((3, 3)))
+    assert hash(r) == before
+
+
 def test_raster_rejects_bad_values():
     with pytest.raises(InvalidArgumentError):
         Raster([[1.0, -2.0]])
