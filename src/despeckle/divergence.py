@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgumentError
+from .errors import DomainError, InvalidArgumentError, check_integer
 from .gamma import GammaParams, into_range, mle
 
 KINDS = ("hellinger", "kl", "renyi")
@@ -68,6 +68,7 @@ class TestConfig:
             raise InvalidArgumentError(f"renyi_order must be in {RENYI_ORDERS}")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidArgumentError("alpha must be in (0, 1)")
+        check_integer(self.dof, "dof")
         if self.dof not in DOFS:
             raise InvalidArgumentError("dof must be 1 or 2")
         if self.shared_looks not in SHARED_LOOKS:
@@ -201,7 +202,17 @@ def _rate(kind, mean1, mean_i, m, n, beta, out=None, work=None):
         # same for scalars and arrays
         np.square(np.subtract(mean1, mean_i, out=out), out=out)
         np.multiply(2.0 * m * n / (m + n), out, out=out)
-        return np.divide(out, np.multiply(2.0 * mean1, mean_i, out=work), out=out)
+        with np.errstate(invalid="ignore"):  # 0 / 0 where 2 l1 li underflows
+            np.divide(out, np.multiply(2.0 * mean1, mean_i, out=work), out=out)
+        low = np.less(work, np.finfo(float).tiny)
+        if low.any():
+            # 2 l1 li left the normal floats: the rate depends on li / l1 alone,
+            # so take these pairs at the power of two putting the larger in [1/2, 1)
+            l1, li = (np.broadcast_to(v, low.shape)[low] for v in (mean1, mean_i))
+            top = np.frexp(np.maximum(l1, li))[1]
+            l1, li = np.ldexp(l1, -top), np.ldexp(li, -top)
+            out[low] = 2.0 * m * n / (m + n) * np.square(l1 - li) / (2.0 * l1 * li)
+        return out
     # beta(beta-1) < 0 and a log-argument <= 0 keep the Renyi rate >= 0:
     # ln l1 + ln li - ln(b li + (1-b) l1) - ln(b l1 + (1-b) li)
     np.add(np.log(mean1), np.log(mean_i, out=out), out=out)

@@ -28,7 +28,7 @@ from .gamma import unit_speckle
 from .lee import LeeSpec, lee_filter
 # compute_report stays bound here, unread: perfbench's traced run rebinds it by name
 from .metrics import MetricReport, Reference, compute_report, csv_cell
-from .nmfilter import WINDOWS, FilterSpec, filter_image
+from .nmfilter import FilterSpec, filter_image, nm_masks
 from .phantom import PhantomGeometry, default_geometry, render_phantom
 from .raster import Raster
 
@@ -126,9 +126,7 @@ class RunPlan:
             if kind not in FILTER_KINDS:
                 raise InvalidArgumentError(f"unknown filter kind {kind!r}")
             if kind != "input":
-                check_integer(window, f"filter {kind!r} window")
-                if window not in WINDOWS:
-                    raise InvalidArgumentError(f"filter {kind!r} needs window 5 or 7")
+                nm_masks(window)  # refuses a window outside WINDOWS
         for level in self.levels:
             if not 0.0 < level < 1.0:
                 raise InvalidArgumentError("levels must lie in (0, 1)")

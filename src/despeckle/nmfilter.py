@@ -1,6 +1,6 @@
 """Nagao-Matsuyama window geometry and the test-guided averaging filter.
 
-Each pixel is filtered from its 5x5 or 7x7 neighbourhood, which carries nine
+Each pixel is filtered from its 5x5 (or 7x7) neighbourhood, which carries nine
 sub-regions: a central block (region 1, holding the pixel itself) and eight
 oriented regions pointing at the compass directions.  Every oriented region
 is tested against the central block for distributional agreement; the output
@@ -116,9 +116,10 @@ _GEOMETRY = {window: _geometry(window) for window in WINDOWS}  # built once, at 
 
 
 def nm_masks(window: int) -> tuple:
-    """The nine committed region masks for a 5x5 or 7x7 window."""
+    """The nine committed region masks of a window; the one window check."""
+    check_integer(window, "window")
     if window not in WINDOWS:
-        raise InvalidArgumentError(f"window must be 5 or 7, got {window}")
+        raise InvalidArgumentError(f"window must be one of {WINDOWS}, got {window}")
     return _GEOMETRY[window][0]
 
 
@@ -153,7 +154,6 @@ class FilterSpec:
     test: TestConfig = field(default_factory=TestConfig)
 
     def __post_init__(self):
-        check_integer(self.window, "window")
         nm_masks(self.window)
 
     @property
@@ -164,9 +164,11 @@ class FilterSpec:
 # ---------------------------------------------------------------------------
 # engine
 #
-# One block function serves both filter_pixel, whose window is a one-pixel
-# block, and filter_image, which feeds it blocks of whole rows, so the two
-# agree bit for bit.  Windows holding zeros take the same path; only the
+# filter_image alone calls the block function, on blocks of whole rows (np.sum
+# over one centre's (cells, 1) column would add pairwise).  The shifts are per
+# window and each sum adds a window's cells in one order, so a pixel depends on
+# its window alone: filter_pixel and a row band filtered on its own give
+# filter_image's bits.  Windows holding zeros take the same path; only the
 # values the tests see change.
 #
 # The engine works cells-major: a block's windows are copied as a (cells,
@@ -318,7 +320,8 @@ def _filter_block(padded: np.ndarray, first: int, last: int, spec: FilterSpec, p
 
 
 def filter_pixel(padded: Raster, center: tuple, spec: FilterSpec) -> float:
-    """Filter a single pixel of an already-padded raster."""
+    """Filter a single pixel of an already-padded raster: filter_image of the
+    pixel's own window, read at its centre."""
     half = spec.window // 2
     row, col = center
     check_integer(row, "center row")
@@ -327,10 +330,8 @@ def filter_pixel(padded: Raster, center: tuple, spec: FilterSpec) -> float:
         half <= row < padded.height - half and half <= col < padded.width - half
     ):
         raise OutOfBoundsError(f"center {center} closer than {half} px to the border")
-    plan = _plan(spec)
-    # the pixel's window is a padded one-pixel image
     window = padded.array[row - half:row + half + 1, col - half:col + half + 1]
-    return float(_filter_block(window, 0, 1, spec, plan, _Buffers(plan, 1))[0])
+    return float(filter_image(Raster(window), spec).array[half, half])
 
 
 def filter_image(img: Raster, spec: FilterSpec) -> Raster:

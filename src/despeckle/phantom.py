@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidArgumentError
+from .errors import FormatError, InvalidArgumentError, check_integer
 from .raster import Raster
 
 EDGE_BAND_WIDTH = 3
@@ -152,6 +152,7 @@ SIZES = tuple(sorted(_LAYOUTS))  # the sizes with a committed layout
 
 def default_geometry(size: int = 128) -> PhantomGeometry:
     """The committed layout of a size in SIZES."""
+    check_integer(size, "size")
     if size not in SIZES:
         raise InvalidArgumentError(
             f"no committed geometry for size {size}; supply a geometry file instead")

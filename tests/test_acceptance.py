@@ -7,6 +7,7 @@ simulation profile, metric identities, agreement of the three test kinds,
 and byte-stable CSV output.
 """
 
+import hashlib
 import sys
 from decimal import Decimal, localcontext
 
@@ -217,3 +218,12 @@ def test_criterion_11_csv_byte_determinism(fast_run):
     bytes1 = fast_run["path1"].read_bytes()
     bytes4 = fast_run["path4"].read_bytes()
     assert bytes1 == bytes4
+
+
+# SHA-256 of `despeckle montecarlo --fast --seed 0 --threads 1`'s CSV, frozen
+# with numpy 2.4.6; other builds may round differently and need a new digest
+FAST_CSV_SHA256 = "66fc50f14e8c36208b87faf2e7b520d8b9dd9a5290e6b6197d8294e44d506a23"
+
+
+def test_fast_protocol_csv_bytes_are_frozen(fast_run):
+    assert hashlib.sha256(fast_run["path1"].read_bytes()).hexdigest() == FAST_CSV_SHA256

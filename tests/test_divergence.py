@@ -142,6 +142,27 @@ def test_statistic_input_validation():
         kl_stat(P1, P3, 0, 9, 1.0)
     with pytest.raises(InvalidArgumentError):
         renyi_stat(P1, P3, 9, 9, 1.0, 1.5)
+    # a shared looks that is not a finite positive number
+    for looks in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        for stat in (hellinger_stat, kl_stat, renyi_stat):
+            with pytest.raises(DomainError, match="finite and positive"):
+                stat(P1, P3, 9, 9, looks)
+
+
+def test_kl_rate_holds_where_the_product_of_the_means_underflows():
+    # 2 l1 li of two means near 2^-593 lies below the normal floats (the engine
+    # meets such regions in a window whose maximum is in range); the KL rate
+    # depends on the ratio alone, so the statistic and the looks threshold are
+    # those of the means scaled by 2^600, bit for bit, and warning-free
+    l1 = np.array([25.68, 30.35, 1.0, 7.5])
+    li = np.array([19.69, 6.67, 1.0 + 2.0**-40, 7.5])
+    tiny1, tiny_i = np.ldexp(l1, -600), np.ldexp(li, -600)
+    assert np.all(2.0 * tiny1 * tiny_i < np.finfo(float).tiny)
+    got = statistic_array("kl", tiny1, tiny_i, 9, 7, 3.0)
+    assert got.tobytes() == statistic_array("kl", l1, li, 9, 7, 3.0).tobytes()
+    cfg = TestConfig(kind="kl")
+    got = looks_threshold(cfg, tiny1, tiny_i, 9, 7)
+    assert got.tobytes() == looks_threshold(cfg, l1, li, 9, 7).tobytes()
 
 
 def test_array_forms_match_scalar_forms():
@@ -346,6 +367,10 @@ def test_config_validation():
         TestConfig(alpha=0.0)
     with pytest.raises(InvalidArgumentError):
         TestConfig(dof=3)
+    for dof in (True, 2.0):  # True == 1 and 2.0 == 2, but neither is an integer
+        with pytest.raises(InvalidArgumentError, match="dof must be an integer"):
+            TestConfig(dof=dof)
+    assert TestConfig(dof=np.int64(2)).dof == 2
     with pytest.raises(InvalidArgumentError):
         TestConfig(shared_looks="sample2")
     with pytest.raises(TypeError):  # the series length is fixed, not a setting

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
@@ -100,6 +100,13 @@ def test_masks_invalid_window():
         nm_masks(3)
     with pytest.raises(InvalidArgumentError):
         nm_masks(9)
+    # nm_masks is the one window check: the mask lookup, its dump and the spec
+    # refuse a float or a bool window alike
+    for window in (5.0, True):
+        for refuses in (nm_masks, mask_table_text, lambda w: FilterSpec(window=w)):
+            with pytest.raises(InvalidArgumentError, match="window must be an integer"):
+                refuses(window)
+    assert nm_masks(np.int64(7)) is nm_masks(7)
 
 
 def test_mask_table_text_lists_all_regions():
@@ -147,16 +154,22 @@ def test_filter_constant_image():
 
 
 def test_filter_pixel_matches_filter_image():
+    # the second image holds a constant 6x5 block, whose pixels have constant
+    # central blocks at both windows: a one-centre engine call summed their
+    # logs in numpy's pairwise order and could land on the other side of 0
     rng = stream(101)
-    img = Raster(150.0 * unit_speckle(3.0, (14, 11), rng))
-    for window in (5, 7):
-        spec = FilterSpec(window=window, test=TestConfig(alpha=0.2))
-        half = window // 2
-        padded = pad_mirror(img, half)
-        whole = filter_image(img, spec)
-        for r in range(img.height):
-            for c in range(img.width):
-                assert filter_pixel(padded, (r + half, c + half), spec) == whole.array[r, c]
+    speckled = 150.0 * unit_speckle(3.0, (14, 11), rng)
+    constant = speckled.copy()
+    constant[4:10, 3:8] = 1.7 * np.pi
+    for img in (Raster(speckled), Raster(constant)):
+        for window in (5, 7):
+            spec = FilterSpec(window=window, test=TestConfig(alpha=0.2))
+            half = window // 2
+            padded = pad_mirror(img, half)
+            whole = filter_image(img, spec)
+            for r in range(img.height):
+                for c in range(img.width):
+                    assert filter_pixel(padded, (r + half, c + half), spec) == whole.array[r, c]
 
 
 def test_filter_pixel_border_check():
@@ -202,6 +215,48 @@ def test_filter_row_blocks_agree_with_filter_pixel():
             assert filter_pixel(padded, (r + 2, c + 2), spec) == out[r, c]
 
 
+def band_case(seed: int, width: int, blocks: int):
+    """A seeded image of blocks + 1 engine blocks, the last one short, and a
+    row band [a, b) of it.  It holds zeros, a zero block, a constant block,
+    whose central blocks decide on the sign of a rounding error, and a stripe
+    scaled by 2^600 and one by 2^-600 beside windows in range."""
+    rng = np.random.default_rng(seed)
+    rows = BLOCK_PIXELS // width
+    height = blocks * rows + int(rng.integers(1, rows))
+    arr = 100.0 * unit_speckle(2.0, (height, width), rng)
+    arr[rng.random(arr.shape) < rng.choice([0.0, 0.01, 0.2])] = 0.0
+    for value in (0.0, rng.uniform(1e-3, 1e3)):
+        (r0, r1), (c0, c1) = (np.sort(rng.choice(n + 1, 2, replace=False)) for n in arr.shape)
+        arr[r0:r1, c0:c1] = value
+    for scale in (2.0**600, 2.0**-600):
+        top = rng.integers(height)
+        arr[top:top + rng.integers(1, 4), rng.integers(width):] *= scale
+    a, b = np.sort(rng.choice(height + 1, 2, replace=False))
+    return Raster(arr), int(a), int(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(64, 160), blocks=st.integers(1, 2),
+       window=st.sampled_from((5, 7)), kind=st.sampled_from(KINDS),
+       shared_looks=st.sampled_from(("pooled", "sample1")))
+# two cases where a range shift taken once per engine block, not per window,
+# changes hundreds of pixels
+@example(seed=115, width=100, blocks=1, window=5, kind="hellinger", shared_looks="pooled")
+@example(seed=241, width=128, blocks=2, window=7, kind="kl", shared_looks="sample1")
+def test_row_band_filtered_alone_gives_filter_image_bits(seed, width, blocks, window, kind,
+                                                         shared_looks):
+    # Each pixel depends on its window alone, so a row band [a, b) filtered on
+    # its own, as filter_image of its padded rows, gives those rows of the
+    # whole image's output bit for bit, though its engine blocks start
+    # elsewhere.
+    img, a, b = band_case(seed, width, blocks)
+    spec = FilterSpec(window=window, test=TestConfig(kind=kind, shared_looks=shared_looks))
+    half = window // 2
+    band = Raster(pad_mirror(img, half).array[a:b + 2 * half])
+    alone = filter_image(band, spec).array[half:-half, half:-half]
+    assert alone.tobytes() == filter_image(img, spec).array[a:b].tobytes()
+
+
 @pytest.mark.parametrize("window", [5, 7])
 def test_alternating_calls_equal_fresh_calls(window):
     # a call reuses its arrays across its blocks; calls that alternate between
@@ -233,7 +288,8 @@ def test_filter_pixel_runs_the_block_function(monkeypatch):
     monkeypatch.setattr(nmfilter, "_filter_block", spy)
     img = Raster(40.0 * unit_speckle(2.0, (12, 12), stream(109)))
     value = filter_pixel(pad_mirror(img, 3), (6, 8), FilterSpec(window=7))
-    assert calls == [((7, 7), 0, 1)]
+    # one block: the 7x7 window as an image, mirror-padded, all seven rows
+    assert calls == [((13, 13), 0, 7)]
     calls.clear()
     assert value == filter_image(img, FilterSpec(window=7)).array[3, 5]
     assert {c[1:] for c in calls} == {(0, 12)}

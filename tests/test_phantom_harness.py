@@ -56,6 +56,10 @@ def test_default_geometries_validate():
     assert default_geometry(64).size == 64
     with pytest.raises(InvalidArgumentError):
         default_geometry(96)
+    for size in (64.0, True):
+        with pytest.raises(InvalidArgumentError, match="size must be an integer"):
+            default_geometry(size)
+    assert default_geometry(np.int64(64)) is default_geometry(64)
 
 
 def test_geometry_rejects_out_of_bounds_block():
@@ -346,6 +350,11 @@ def test_run_plan_validation():
         RunPlan(master_seed=1.5)
     with pytest.raises(InvalidArgumentError, match="window must be an integer"):
         RunPlan(filters=(("lee", 5.0),))
+    # the plan checks its windows through nm_masks, as FilterSpec does
+    with pytest.raises(InvalidArgumentError, match="window must be one of"):
+        RunPlan(filters=(("lee", 9),))
+    with pytest.raises(InvalidArgumentError, match="dof must be an integer"):
+        RunPlan(dof=2.0)
     with pytest.raises(InvalidArgumentError, match="situation must be an integer"):
         RunPlan(situations=(1.0,))
     RunPlan(replicates=np.int64(2), master_seed=np.int64(3), filters=(("lee", np.int64(5)),))

@@ -202,6 +202,19 @@ def test_read_errors(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(FormatError):
         read_raster(path, "raw")
+    # a raw header of another version: magic, width, height, version
+    path = tmp_path / "v2.raw"
+    write_raster(img, path, "raw")
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, 12, 2)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="unsupported version 2"):
+        read_raster(path, "raw")
+    # an ascii file with fewer rows than its header declares
+    path = tmp_path / "short.txt"
+    path.write_text("3 2\n1.0 2.0\n")
+    with pytest.raises(FormatError, match="expected 3 rows, got 1"):
+        read_raster(path, "ascii")
 
 
 def test_ascii_rejects_negative_values(tmp_path):
