@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import shlex
 import sys
 
 from .divergence import DOFS, KINDS, RENYI_ORDERS, SHARED_LOOKS, TestConfig
@@ -60,7 +61,7 @@ def _add_test_flags(p, defaults):
                    help=f"Renyi order in {RENYI_ORDERS}")
 
 
-def _geometry(path, size=None):
+def _geometry(path, size):
     """The geometry file at path when given, else the built-in geometry of
     size when given, else None."""
     if path:
@@ -86,8 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phantom", help="write a noiseless test phantom")
     p.add_argument("--situation", type=int, choices=sorted(SITUATIONS), default=1)
-    p.add_argument("--size", type=int, default=128, choices=SIZES)
-    p.add_argument("--geometry", help="geometry file overriding the built-in layout")
+    # a None default: argparse sees an exclusive flag as given when its value is
+    # not its default, so an explicit --size 128 beside --geometry is refused
+    layout = p.add_mutually_exclusive_group()
+    layout.add_argument("--size", type=int, choices=SIZES, help="built-in layout (default 128)")
+    layout.add_argument("--geometry", help="geometry file in place of the built-in layout")
     p.add_argument("--out", required=True)
     _add_format(p)
     p.set_defaults(func=cmd_phantom)
@@ -123,9 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="print quality metrics of test vs reference")
     p.add_argument("--ref", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--geometry", help="geometry file enabling the ground-truth metrics")
-    p.add_argument("--geometry-size", type=int, choices=SIZES,
-                   help="use the built-in geometry of this size")
+    layout = p.add_mutually_exclusive_group()
+    layout.add_argument("--geometry", help="geometry file enabling the ground-truth metrics")
+    layout.add_argument("--geometry-size", type=int, choices=SIZES,
+                        help="use the built-in geometry of this size")
     _add_format(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -134,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, help="default: DESPECKLE_SEED, else 0")
     p.add_argument("--fast", action="store_true", help="64x64 phantom, 20 replicates")
-    p.add_argument("--size", type=int, choices=SIZES)
+    layout = p.add_mutually_exclusive_group()
+    layout.add_argument("--size", type=int, choices=SIZES, help="built-in layout")
+    layout.add_argument("--geometry", help="geometry file in place of the built-in layout")
     p.add_argument("--replicates", type=int)
     p.add_argument("--situations", default=_join(plan.situations),
                    help="comma-separated subset of 1..4")
@@ -143,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filters", default=_filters_text(plan.filters),
                    help="comma-separated kind[:window] entries")
     _add_test_flags(p, plan)
-    p.add_argument("--geometry", help="geometry file replacing the built-in layout")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes, forked (POSIX only), one (situation, replicate)"
                         " task at a time, at most one per usable CPU; 1 runs in this process"
@@ -158,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_phantom(args) -> int:
-    geom = _geometry(args.geometry, args.size)
+    geom = _geometry(args.geometry, args.size or 128)
     img = make_phantom(geom, SITUATIONS[args.situation])
     write_raster(img, args.out, args.format)
     return 0
@@ -219,8 +225,9 @@ def _filter_entry(entry: str) -> tuple:
 
 
 def _parse_montecarlo_plan(args) -> RunPlan:
-    # --size and --replicates override the profile's defaults only when given
-    sizing = {k: v for k, v in (("size", args.size), ("replicates", args.replicates))
+    # the layout and --replicates override the profile's defaults only when given
+    sizing = {k: v for k, v in (("geometry", _geometry(args.geometry, args.size)),
+                                ("replicates", args.replicates))
               if v is not None}
     return (fast_plan if args.fast else RunPlan)(
         situations=_entries("--situations", args.situations, int),
@@ -236,11 +243,13 @@ def _parse_montecarlo_plan(args) -> RunPlan:
 
 def cmd_montecarlo(args) -> int:
     plan = _parse_montecarlo_plan(args)
-    rows = run_protocol(plan, _geometry(args.geometry), threads=args.threads)
-    # echo the plan-defining flags (threads and paths do not change results)
+    rows = run_protocol(plan, threads=args.threads)
+    # echo the plan-defining flags (threads and the output path do not change results)
+    layout = (f"--geometry {shlex.quote(args.geometry)}" if args.geometry
+              else f"--size {plan.geometry.size}")
     echo = (
         "despeckle montecarlo"
-        f" --seed {plan.master_seed} --size {plan.size} --replicates {plan.replicates}"
+        f" --seed {plan.master_seed} {layout} --replicates {plan.replicates}"
         f" --situations {_join(plan.situations)} --levels {_join(plan.levels)}"
         f" --filters {_filters_text(plan.filters)}"
         f" --dof {plan.dof} --shared {plan.shared_looks} --beta {repr(plan.renyi_order)}"

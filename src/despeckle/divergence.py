@@ -21,6 +21,7 @@ or its p-value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -245,6 +246,7 @@ def renyi_stat_array(mean1, mean_i, m, n, looks, beta):
     return statistic_array("renyi", mean1, mean_i, m, n, looks, beta)
 
 
+@functools.cache  # every engine block asks again for its spec's reach
 def threshold_reach(cfg: TestConfig, m, n) -> float:
     """L a where the cfg statistic reaches the critical value c: c itself for
     KL and Renyi, -ln(1 - c / (8mn/(m+n))) for Hellinger, and inf where
@@ -256,15 +258,13 @@ def threshold_reach(cfg: TestConfig, m, n) -> float:
     return reach
 
 
-def looks_threshold(cfg: TestConfig, mean1, mean_i, m, n, reach=None, out=None, work=None,
-                    mask=None):
+def looks_threshold(cfg: TestConfig, mean1, mean_i, m, n, out=None, work=None, mask=None):
     """T with the cfg test passing exactly when the shared looks L < T: the
     statistic reaches the critical value at L = reach / a, with reach given by
-    threshold_reach(cfg, m, n) unless passed in.  out and work (float) and mask
-    (bool), arrays of the broadcast shape given all three or none, take T and
-    the intermediates."""
-    if reach is None:
-        reach = threshold_reach(cfg, m, n)
+    threshold_reach(cfg, m, n).  out and work (float) and mask (bool), arrays
+    of the broadcast shape given all three or none, take T and the
+    intermediates."""
+    reach = threshold_reach(cfg, m, n)
     if out is None:
         shape = np.broadcast_shapes(np.shape(mean1), np.shape(mean_i))
         out, work, mask = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)

@@ -103,7 +103,7 @@ class RunPlan:
     filters: tuple = DEFAULT_FILTERS
     levels: tuple = (0.2,)
     master_seed: int = 0
-    size: int = 128
+    geometry: PhantomGeometry = default_geometry(128)
     dof: int = TestConfig.dof
     shared_looks: str = TestConfig.shared_looks
     renyi_order: float = TestConfig.renyi_order
@@ -148,7 +148,7 @@ class RunPlan:
 
 def fast_plan(master_seed: int = 0, **overrides) -> RunPlan:
     """The CI-sized profile: 64x64 phantom, 20 replicates."""
-    overrides.setdefault("size", 64)
+    overrides.setdefault("geometry", default_geometry(64))
     overrides.setdefault("replicates", 20)
     return RunPlan(master_seed=master_seed, **overrides)
 
@@ -206,30 +206,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_protocol(plan: RunPlan, geom: PhantomGeometry | None = None, threads: int = 1) -> list:
+def run_protocol(plan: RunPlan, threads: int = 1) -> list:
     """Execute the plan and return unsorted result rows (dicts).
 
-    Each situation's phantom is built once, as a metrics.Reference that keeps
-    the phantom's side of the metrics, and each replicate scores all of its
-    filtered images against it in one Reference.reports call.  Replicates are
-    independent tasks; `threads` only controls how they are scheduled, never
-    the numbers produced.  It uses min(threads, tasks, CPUs) workers, counting
-    the CPUs this process may run on.  With one worker the tasks run in this
-    process.  With more, each worker is a process forked from this one (the
-    "fork" start method, so POSIX only), handed the plan and the references
-    once, and sent (situation, replicate) pairs; a worker's exception reaches
-    the caller with its class and message.  Python 3.12 and later may warn
+    Each situation's phantom is built once on plan.geometry, as a
+    metrics.Reference that keeps the phantom's side of the metrics, and each
+    replicate scores all of its filtered images against it in one
+    Reference.reports call.  Replicates are independent tasks; `threads` only
+    controls how they are scheduled, never the numbers produced.  It uses
+    min(threads, tasks, CPUs) workers, counting the CPUs this process may run
+    on.  With one worker the tasks run in this process.  With more, each
+    worker is a process forked from this one (the "fork" start method, so
+    POSIX only), handed the plan and the references once, and sent
+    (situation, replicate) pairs; a worker's exception reaches the caller
+    with its class and message.  Python 3.12 and later may warn
     (DeprecationWarning) that forking a process with live threads can
     deadlock: numpy's OpenBLAS starts native threads at import.
     """
     check_integer(threads, "threads")
     if threads < 1:
         raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
-    if geom is None:
-        geom = default_geometry(plan.size)
-    if geom.size != plan.size:
-        raise InvalidArgumentError("geometry size does not match the plan")
-    references = {sid: Reference(make_phantom(geom, SITUATIONS[sid]), geom)
+    references = {sid: Reference(make_phantom(plan.geometry, SITUATIONS[sid]), plan.geometry)
                   for sid in plan.situations}
     tasks = [(sid, rep) for sid in plan.situations for rep in range(plan.replicates)]
     workers = min(threads, len(tasks), _usable_cpus())

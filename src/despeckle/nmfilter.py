@@ -41,7 +41,6 @@ from .divergence import (
     kl_stat_array,
     looks_threshold,
     renyi_stat_array,
-    threshold_reach,
 )
 from .errors import InvalidArgumentError, OutOfBoundsError, check_integer
 from .gamma import looks_below, range_shift, shift_zeros, solve_looks
@@ -180,13 +179,12 @@ class FilterSpec:
 #
 # A region passes exactly when its fitted shared looks stay below the looks
 # threshold T at which its statistic reaches the chi-square critical value
-# (divergence.looks_threshold, from a threshold_reach computed once per
-# filter_image).  gamma.looks_below settles that from the dispersion rhs: most
-# pairs from rhs T alone, by bounds on the dispersion gap, and only the ~5 %
-# between its cut-offs with a digamma, so no test solves for the looks or
-# computes its statistic or p-value.  Every step of the tests and the pooling
-# writes into the call's buffers, so a block allocates no (8, centres)
-# array.
+# (divergence.looks_threshold, from the spec's cached threshold_reach).
+# gamma.looks_below settles that from the dispersion rhs: most pairs from rhs
+# T alone, by bounds on the dispersion gap, and only the ~5 % between its
+# cut-offs with a digamma, so no test solves for the looks or computes its
+# statistic or p-value.  Every step of the tests and the pooling writes into
+# the call's buffers, so a block allocates no (8, centres) array.
 
 # Centres per engine call.  On the 64x256 strip in one thread (2-vCPU Xeon,
 # numpy 2.4.6, shared host, 3 rounds of 15-call medians) 1024, 2048, 4096
@@ -194,13 +192,6 @@ class FilterSpec:
 # 21.7-23.8, 20.3-21.3, 21.7-23.7 and 22.2-24.0 ms at 7x7; the output had the
 # same bytes at every size.
 BLOCK_PIXELS = 2048
-
-
-def _plan(spec: FilterSpec):
-    """The central gather, the (8, n) oriented gathers, the cells x 9 indicator
-    and the tests' threshold_reach."""
-    central, gathers, indicators = _GEOMETRY[spec.window][1]
-    return central, gathers, indicators, threshold_reach(spec.test, central.size, gathers.shape[1])
 
 
 class _Buffers:
@@ -217,8 +208,8 @@ class _Buffers:
     dynamic mmap threshold above its size, so later calls take it from the
     heap instead of faulting in fresh pages."""
 
-    def __init__(self, plan, centres: int):
-        _, gathers, indicators, _ = plan
+    def __init__(self, window: int, centres: int):
+        _, gathers, indicators = _GEOMETRY[window][1]
         cells = len(indicators)
         self._parts = {}
         for dtype, rows in ((float, {"win": cells, "log": cells, "gather": gathers.size,
@@ -238,14 +229,14 @@ def _gather(a: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.take(a, index, axis=0, out=out, mode="clip")
 
 
-def _region_tests(z, logz, cfg: TestConfig, reach, central, gathers, buffers: _Buffers):
+def _region_tests(z, logz, cfg: TestConfig, central, gathers, buffers: _Buffers):
     """All eight region tests of every centre in one stacked pass.
 
     z holds the (cells, centres) window values the tests see, zeros already
-    shifted, and logz their logs; reach is threshold_reach(cfg, ...).  Returns
-    the central block's dispersion rhs, (centres,), and the (9, centres) float
-    acceptance, 1 or 0, of region 1 (always) and the oriented regions, both
-    views of buffers.  Every region sum runs over its cells left to right.
+    shifted, and logz their logs.  Returns the central block's dispersion rhs,
+    (centres,), and the (9, centres) float acceptance, 1 or 0, of region 1
+    (always) and the oriented regions, both views of buffers.  Every region sum
+    runs over its cells left to right.
     """
     m1, ni = central.size, gathers.shape[1]
     count = z.shape[1]
@@ -270,19 +261,19 @@ def _region_tests(z, logz, cfg: TestConfig, reach, central, gathers, buffers: _B
     else:
         rhs = rhs1
     mean_i = np.divide(sum_i, ni, out=sum_i)
-    looks_threshold(cfg, mean1, mean_i, m1, ni, reach, out=threshold, work=work, mask=mask)
+    looks_threshold(cfg, mean1, mean_i, m1, ni, out=threshold, work=work, mask=mask)
     accepted = buffers.get("accepted", 9, count)
     accepted[0] = 1.0
     np.copyto(accepted[1:], looks_below(rhs, threshold, out=mask, work=work, mask=scratch))
     return rhs1, accepted
 
 
-def _filter_block(padded: np.ndarray, first: int, last: int, spec: FilterSpec, plan,
+def _filter_block(padded: np.ndarray, first: int, last: int, spec: FilterSpec,
                   buffers: _Buffers) -> np.ndarray:
     """Filter the image rows first .. last - 1 of a padded image: test the
     regions of every centre and average the cells they cover, row-major.  The
     result is a view of buffers, valid until their next block."""
-    central, gathers, indicators, reach = plan
+    central, gathers, indicators = _GEOMETRY[spec.window][1]
     size = spec.window
     cells, width = indicators.shape[0], padded.shape[1] - size + 1
     count = (last - first) * width
@@ -302,7 +293,7 @@ def _filter_block(padded: np.ndarray, first: int, last: int, spec: FilterSpec, p
         shifted, zero = buffers.get("shifted", cells, count), buffers.get("zero", cells, count)
         z = shift_zeros(win.T, out=shifted.T, work=logz.T, mask=zero.T).T
     np.log(z, out=logz)
-    rhs1, accepted = _region_tests(z, logz, spec.test, reach, central, gathers, buffers)
+    rhs1, accepted = _region_tests(z, logz, spec.test, central, gathers, buffers)
 
     # the output averages the raw cells, zeros included: covered is 1 on a
     # cell of an accepted region and 0 elsewhere, and its products overwrite it
@@ -341,13 +332,12 @@ def filter_image(img: Raster, spec: FilterSpec) -> Raster:
     BLOCK_PIXELS centres each, into one set of arrays reused block after block.
     """
     padded = pad_for_window(img, spec.window)
-    plan = _plan(spec)
     rows = max(1, BLOCK_PIXELS // img.width)
-    buffers = _Buffers(plan, rows * img.width)
+    buffers = _Buffers(spec.window, rows * img.width)
     out = np.empty((img.height, img.width))
     for first in range(0, img.height, rows):
         last = min(first + rows, img.height)
-        out[first:last] = _filter_block(padded, first, last, spec, plan, buffers).reshape(
+        out[first:last] = _filter_block(padded, first, last, spec, buffers).reshape(
             last - first, img.width
         )
     return Raster(out)

@@ -22,7 +22,7 @@ the edge metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -184,9 +184,13 @@ def write_geometry(geom: PhantomGeometry, path) -> None:
         fh.write("background = {} {} {} {}\n".format(*geom.background))
 
 
+_KEYS = tuple(f.name for f in fields(PhantomGeometry))  # a geometry file's keys
+
+
 def read_geometry(path) -> PhantomGeometry:
-    fields = {}
-    with open(path) as fh:
+    values = {}
+    # a byte that is not UTF-8 decodes to U+FFFD, which no number contains
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -194,24 +198,20 @@ def read_geometry(path) -> PhantomGeometry:
             if "=" not in line:
                 raise FormatError(f"geometry line {lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    required = {"size", "block", "hline", "vline", "diag", "points", "background"}
-    missing = required - fields.keys()
+            key = key.strip()
+            if key not in _KEYS or key in values:
+                problem = "repeats" if key in values else "has an unknown"
+                raise FormatError(f"geometry line {lineno} {problem} key {key!r}")
+            values[key] = value.strip()
+    missing = set(_KEYS) - values.keys()
     if missing:
         raise FormatError(f"geometry file missing keys: {sorted(missing)}")
     try:
-        points = tuple(
-            tuple(int(p) for p in pair.split(",")) for pair in fields["points"].split()
-        )
-        geom = PhantomGeometry(
-            size=int(fields["size"]),
-            block=tuple(int(v) for v in fields["block"].split()),
-            hline=tuple(int(v) for v in fields["hline"].split()),
-            vline=tuple(int(v) for v in fields["vline"].split()),
-            diag=tuple(int(v) for v in fields["diag"].split()),
-            points=points,
-            background=tuple(int(v) for v in fields["background"].split()),
+        return PhantomGeometry(
+            size=int(values.pop("size")),
+            points=tuple(tuple(int(p) for p in pair.split(","))
+                         for pair in values.pop("points").split()),
+            **{key: tuple(int(v) for v in value.split()) for key, value in values.items()},
         )
     except (ValueError, TypeError) as exc:  # InvalidArgumentError is a ValueError
         raise FormatError(f"geometry file: {exc}") from exc
-    return geom

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -196,6 +197,59 @@ def test_evaluate_rejects_a_geometry_of_another_size(noisy_pair, capsys):
     assert "geometry size 128" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.fixture()
+def geometry_64(tmp_path):
+    """The committed 64 layout, written as a geometry file."""
+    path = tmp_path / "g64.txt"
+    phantom.write_geometry(phantom.default_geometry(64), path)
+    return path
+
+
+def test_layout_flags_are_one_choice(tmp_path, noisy_pair, geometry_64, capsys):
+    # a size flag beside a geometry file was ignored, or refused only by
+    # montecarlo and only when the sizes differed
+    ph, noisy = noisy_pair
+    out, g = tmp_path / "out", str(geometry_64)
+    evaluate = ("evaluate", "--ref", str(ph), "--test", str(noisy), "--geometry", g)
+    for argv in (("phantom", "--geometry", g, "--size", "128", "--out", str(out)),
+                 ("phantom", "--size", "64", "--geometry", g, "--out", str(out)),
+                 evaluate + ("--geometry-size", "128"), evaluate + ("--geometry-size", "64"),
+                 ("montecarlo", "--fast", "--geometry", g, "--size", "64", "--out", str(out))):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and "not allowed with argument" in captured.err, argv
+        assert captured.out == "" and not out.exists(), argv
+
+
+def test_a_geometry_file_sets_the_size(tmp_path, geometry_64):
+    by_size, by_file = tmp_path / "size.raw", tmp_path / "file.raw"
+    assert run("phantom", "--size", "64", "--out", str(by_size)) == 0
+    assert run("phantom", "--geometry", str(geometry_64), "--out", str(by_file)) == 0
+    assert by_file.read_bytes() == by_size.read_bytes()
+    # montecarlo refused a geometry file of 64 unless --size 64 repeated it
+    flags = ("montecarlo", "--seed", "2", "--replicates", "1", "--situations", "2",
+             "--filters", "input,lee:5")
+    by_size, by_file = tmp_path / "size.csv", tmp_path / "file.csv"
+    assert run(*flags, "--size", "64", "--out", str(by_size)) == 0
+    assert run(*flags, "--geometry", str(geometry_64), "--out", str(by_file)) == 0
+    assert read_csv_rows(by_file) == read_csv_rows(by_size)
+
+
+def test_a_geometry_file_that_is_not_utf8_exits_1(tmp_path, noisy_pair, geometry_64, capsys):
+    # it ended in the internal-error guard
+    ph, noisy = noisy_pair
+    bad, out = tmp_path / "bad.txt", tmp_path / "out"
+    bad.write_bytes(geometry_64.read_bytes().replace(b"size = 64", b"size = 64\xff\xfe"))
+    for argv in (("phantom", "--geometry", str(bad), "--out", str(out)),
+                 ("evaluate", "--ref", str(ph), "--test", str(noisy), "--geometry", str(bad)),
+                 ("montecarlo", "--fast", "--geometry", str(bad), "--out", str(out))):
+        assert run(*argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("despeckle: geometry file: invalid literal"), argv
+        assert captured.out == "" and not out.exists(), argv
+
+
 def test_evaluate_images_too_small_for_q(tmp_path, capsys):
     # no 8x8 window fits a 5x5 pair: Q is NA, the run still succeeds
     rng = np.random.default_rng(11)
@@ -305,6 +359,27 @@ def test_montecarlo_repeatable_and_commented(tmp_path):
     rows = read_csv_rows(p1)
     assert len(rows) == 4  # 2 replicates x 2 filters x 1 level
     assert sorted({r["filter"] for r in rows}) == ["hellinger", "input"]
+
+
+@pytest.mark.parametrize("flags", [
+    ("--situations", "1,4", "--replicates", "1"),
+    ("--situations", "2", "--replicates", "2", "--levels", "0.2,0.01"),
+    ("--situations", "3", "--replicates", "1", "--dof", "2", "--shared", "sample1",
+     "--beta", "0.3", "--filters", "input,renyi:5,kl:7"),
+    ("--situations", "1,2", "--replicates", "2", "--geometry", "moved block.txt"),
+], ids=["defaults", "levels", "test-flags", "geometry"])
+def test_the_echoed_command_reproduces_the_csv(tmp_path, monkeypatch, flags):
+    # the echo named --size alone, so a run on a geometry file with a moved
+    # block echoed a command that reran on the committed layout
+    monkeypatch.chdir(tmp_path)
+    geom = dataclasses.replace(phantom.default_geometry(64), block=(6, 40, 22, 56))
+    phantom.write_geometry(geom, "moved block.txt")
+    assert run("montecarlo", "--fast", "--seed", "4", *flags, "--out", "first.csv") == 0
+    echo = (tmp_path / "first.csv").read_text().splitlines()[0]
+    assert echo.startswith("# despeckle montecarlo ")
+    assert ("--size" in echo) != ("--geometry" in flags)
+    assert run(*shlex.split(echo[2:])[1:], "--out", "again.csv") == 0
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
 
 def test_montecarlo_respects_levels_and_size(tmp_path):
@@ -455,6 +530,35 @@ def draw_raster_file(data, directory, name, usable, like=None):
     return path, fmt, side
 
 
+# geometry files: the committed layouts, then the three faults a file can hold
+GEOMETRY_EDITS = {"64": None, "128": None, "malformed": (b"block =", b"block"),
+                  "repeated key": (b"size = 64\n", b"size = 64\nsize = 64\n"),
+                  "not utf-8": (b"size = 64", b"size = 64\xff\xfe"), "missing": None}
+
+
+def draw_layout(data, directory, usable, size_flag, sizes, usable_sizes):
+    """A command's layout flags: its size flag, a geometry file, both (a usage
+    error) or neither.  The file holds the 64 or 128 layout, a malformed line,
+    a repeated key or a byte that is not UTF-8, or is missing; a usable call
+    gives at most one flag, and a file only of the 64 layout."""
+    picked = data.draw(st.sampled_from(("neither", "size", "file", "both")[:3 if usable else 4]))
+    argv = []
+    if picked in ("size", "both"):
+        argv += [size_flag, data.draw(st.sampled_from(usable_sizes if usable else sizes))]
+    if picked in ("file", "both"):
+        path = os.path.join(directory, "geometry.txt")
+        content = "64" if usable else data.draw(st.sampled_from(tuple(GEOMETRY_EDITS)))
+        if content != "missing":
+            phantom.write_geometry(phantom.default_geometry(128 if content == "128" else 64), path)
+            if GEOMETRY_EDITS[content]:
+                with open(path, "rb") as fh:
+                    text = fh.read().replace(*GEOMETRY_EDITS[content])
+                with open(path, "wb") as fh:
+                    fh.write(text)
+        argv += ["--geometry", path]
+    return argv
+
+
 def draw_flags(data, usable, choices):
     """Up to two of the (flag, values, usable values) choices, each given one
     drawn value; the others keep their defaults, so a drawn call often gets
@@ -479,9 +583,8 @@ def draw_command(data, directory, usable):
     command = data.draw(st.sampled_from(
         ("phantom", "corrupt", "filter", "evaluate", "montecarlo", "masks")))
     if command == "phantom":
-        # --size 128 is left out: every drawn image is at most 64x64
-        argv = ["--out", out] + draw_flags(data, usable, [
-            situation, ("--size", NUMBERS + ("64",), ("64",)), fmt])
+        argv = ["--out", out] + draw_flags(data, usable, [situation, fmt])
+        argv += draw_layout(data, directory, usable, "--size", NUMBERS + ("64",), ("64",))
     elif command == "corrupt":
         infile, infmt, _ = draw_raster_file(data, directory, "in", usable)
         argv = ["--in", infile, "--out", out, "--format", infmt] + draw_flags(data, usable, [
@@ -500,8 +603,9 @@ def draw_command(data, directory, usable):
         # a usable test image has the reference's format and size
         ref, reffmt, side = draw_raster_file(data, directory, "ref", usable)
         test, _, _ = draw_raster_file(data, directory, "test", usable, like=(reffmt, side))
-        argv = ["--ref", ref, "--test", test, "--format", reffmt] + draw_flags(data, usable, [
-            ("--geometry-size", NUMBERS + ("64", "128"), ("64",))])
+        argv = ["--ref", ref, "--test", test, "--format", reffmt]
+        argv += draw_layout(data, directory, usable, "--geometry-size", NUMBERS + ("64", "128"),
+                            ("64",))
         out = None
     elif command == "montecarlo":
         # the list flags and --replicates are always given: their defaults
@@ -514,8 +618,9 @@ def draw_command(data, directory, usable):
         levels = draw_list(data, usable, LEVEL_ENTRIES, USABLE_LEVELS)
         argv += draw_flags(data, usable, [
             ("--levels", (levels,), (levels,)), ("--seed", NUMBERS, ("0", "1")),
-            ("--size", NUMBERS + ("64",), ("64",)), ("--dof", NUMBERS + ("2",), ("1", "2")),
-            ("--beta", NUMBERS + ("0.5",), ("0.5",)), ("--threads", SMALL_COUNTS, USABLE_COUNTS)])
+            ("--dof", NUMBERS + ("2",), ("1", "2")), ("--beta", NUMBERS + ("0.5",), ("0.5",)),
+            ("--threads", SMALL_COUNTS, USABLE_COUNTS)])
+        argv += draw_layout(data, directory, usable, "--size", NUMBERS + ("64",), ("64",))
     else:
         argv = draw_flags(data, usable, [window])
         out = None

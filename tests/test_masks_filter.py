@@ -33,7 +33,6 @@ from despeckle.divergence import (
     KINDS,
     sidak_level,
     statistic_array,
-    threshold_reach,
 )
 from despeckle.gamma import solve_looks
 from despeckle.harness import SITUATIONS, corrupt, make_phantom, replicate_stream
@@ -138,10 +137,9 @@ def test_filter_spec_masks_follow_the_window():
 def test_geometry_is_built_once_and_read_only():
     for window in (5, 7):
         assert nm_masks(window) is nm_masks(window) is FilterSpec(window=window).masks
-        hellinger = nmfilter._plan(FilterSpec(window=window))
-        kl = nmfilter._plan(FilterSpec(window=window, test=TestConfig(kind="kl")))
-        for shared, again in zip(hellinger[:3], kl[:3]):
-            assert shared is again and not shared.flags.writeable
+        masks, arrays = nmfilter._GEOMETRY[window]
+        assert masks is nm_masks(window)
+        assert all(not a.flags.writeable for a in arrays)
 
 
 # ------------------------------------------------------------------- filter
@@ -452,18 +450,15 @@ def test_region_decisions_equal_the_solved_tests(window):
     # (centre, region) decisions per window size
     rng = stream(108, window)
     spec = FilterSpec(window=window)
-    plan = nmfilter._plan(spec)
-    central, gathers, _, _ = plan
-    buffers = nmfilter._Buffers(plan, 2200)
+    central, gathers, _ = nmfilter._GEOMETRY[window][1]
+    buffers = nmfilter._Buffers(window, 2200)
     for kind in KINDS:
         for dof in (1, 2):
             for shared_looks in ("pooled", "sample1"):
                 cfg = TestConfig(kind=kind, dof=dof, shared_looks=shared_looks)
                 w = gamma_windows(rng, 2200, window * window)
                 z = np.ascontiguousarray(w.T)  # the engine's (cells, centres) layout
-                reach = threshold_reach(cfg, central.size, gathers.shape[1])
-                _, accepted = nmfilter._region_tests(z, np.log(z), cfg, reach, central, gathers,
-                                                     buffers)
+                _, accepted = nmfilter._region_tests(z, np.log(z), cfg, central, gathers, buffers)
                 want = _solved_decisions(w, cfg, central, gathers)
                 assert np.array_equal(accepted[1:].T, want), (kind, dof, shared_looks)
                 assert accepted[0].all()
@@ -479,18 +474,17 @@ def test_warm_block_allocates_no_region_arrays(window, kind):
     # on the zero strip shift_zeros works in them too (it allocated ~0.5-1 MiB),
     # also when the warm-up block held no zero
     spec = FilterSpec(window=window, test=TestConfig(kind=kind))
-    plan = nmfilter._plan(spec)
     rows = BLOCK_PIXELS // 128
     plain, zeros = (pad_mirror(strip, window // 2).array
                     for strip in (situation_strip(), zero_strip()))
     assert not (plain == 0.0).any()
     for warm, measured in ((plain, plain), (zeros, zeros), (plain, zeros)):
         assert (measured[rows:2 * rows + window - 1] == 0.0).any() == (measured is zeros)
-        buffers = nmfilter._Buffers(plan, BLOCK_PIXELS)
-        nmfilter._filter_block(warm, 0, rows, spec, plan, buffers)
+        buffers = nmfilter._Buffers(window, BLOCK_PIXELS)
+        nmfilter._filter_block(warm, 0, rows, spec, buffers)
         tracemalloc.start()
         try:
-            nmfilter._filter_block(measured, rows, 2 * rows, spec, plan, buffers)
+            nmfilter._filter_block(measured, rows, 2 * rows, spec, buffers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from despeckle import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
@@ -65,3 +67,20 @@ def test_only_harness_imports_a_parallel_library():
                 continue
             found += [(path.stem, m) for m in modules if m.partition(".")[0] in parallel]
     assert found and {stem for stem, _ in found} == {"harness"}, found
+
+
+def test_montecarlo_passes_threads_by_keyword(targets, monkeypatch, tmp_path):
+    # the traced wrapper reads threads from the keywords, else from argument
+    # position 2, which run_protocol(plan, threads=1) does not have
+    threads_of = importlib.import_module("layers")._threads
+    real, calls = cli.run_protocol, []
+
+    def spy(*args, **kwargs):
+        calls.append((len(args), sorted(kwargs), threads_of(args, kwargs, 2)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_protocol", spy)
+    argv = ["montecarlo", "--fast", "--replicates", "1", "--situations", "1,2",
+            "--filters", "input", "--threads", "2", "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 0
+    assert calls == [(1, ["threads"], 2)]

@@ -195,6 +195,30 @@ def test_geometry_file_errors(tmp_path):
         read_geometry(bad)
 
 
+def test_geometry_file_refuses_a_repeated_or_unknown_key(tmp_path):
+    # a second block line replaced the first, and an unknown key was skipped
+    path = tmp_path / "geom.txt"
+    write_geometry(default_geometry(64), path)
+    good = path.read_text()
+    for extra, message in (("block = 6 40 22 56", "geometry line 9 repeats key 'block'"),
+                           ("colour = red", "geometry line 9 has an unknown key 'colour'"),
+                           ("points  = 36,4", "geometry line 9 repeats key 'points'")):
+        path.write_text(good + extra + "\n")
+        with pytest.raises(FormatError, match=message):
+            read_geometry(path)
+
+
+def test_geometry_file_that_is_not_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "geom.txt"
+    path.write_bytes(b"size = 64\xff\xfe\n")
+    with pytest.raises(FormatError, match="geometry"):
+        read_geometry(path)
+    write_geometry(default_geometry(64), path)
+    path.write_bytes(path.read_bytes().replace(b"= 4 44", b"= 4\xff 44"))
+    with pytest.raises(FormatError, match="geometry file: invalid literal"):
+        read_geometry(path)
+
+
 def test_geometry_file_ignores_comments_and_blank_lines(tmp_path):
     geom = default_geometry(64)
     path = tmp_path / "geom.txt"
@@ -300,13 +324,13 @@ def test_run_plan_defaults():
     assert plan.replicates == 100
     assert plan.filters == DEFAULT_FILTERS
     assert plan.levels == (0.2,)
-    assert plan.size == 128
+    assert plan.geometry is default_geometry(128)
     assert (plan.dof, plan.shared_looks, plan.renyi_order) == (1, "pooled", 0.5)
 
 
 def test_fast_plan_profile():
     plan = fast_plan(master_seed=3)
-    assert (plan.size, plan.replicates, plan.master_seed) == (64, 20, 3)
+    assert (plan.geometry, plan.replicates, plan.master_seed) == (default_geometry(64), 20, 3)
     assert fast_plan(replicates=2).replicates == 2
 
 
@@ -384,11 +408,6 @@ def test_run_protocol_row_shape():
         assert row["situation"] == 2 and row["replicate"] == 0
         assert row["level"] == 0.2
         assert row["report"].enl is not None
-
-
-def test_run_protocol_geometry_size_check():
-    with pytest.raises(InvalidArgumentError):
-        run_protocol(fast_plan(), geom=default_geometry(128))
 
 
 def test_run_protocol_refuses_fewer_than_one_worker(monkeypatch):
