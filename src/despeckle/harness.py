@@ -16,6 +16,9 @@ Rows are sorted before writing, making the CSV byte-stable.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -23,14 +26,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .divergence import KINDS, TestConfig
-from .errors import DomainError, InvalidArgumentError, check_integer
+from .errors import DespeckleError, DomainError, InvalidArgumentError, check_integer
 from .gamma import unit_speckle
 from .lee import LeeSpec, lee_filter
 # compute_report stays bound here, unread: perfbench's traced run rebinds it by name
 from .metrics import MetricReport, Reference, compute_report, csv_cell
-from .nmfilter import FilterSpec, filter_image, nm_masks
+from .nmfilter import FilterSpec, _filter_rows, filter_image, nm_masks
 from .phantom import PhantomGeometry, default_geometry, render_phantom
-from .raster import Raster
+from .raster import Raster, pad_for_window
 
 
 class Situation(NamedTuple):
@@ -93,6 +96,8 @@ def corrupt(phantom: Raster, sit: Situation, stream: np.random.Generator) -> Ras
     """Multiply by unit-mean L-look speckle: each pixel ~ Gamma(L, L/value)."""
     if phantom.array.min() <= 0:
         raise DomainError("phantom must be strictly positive to corrupt")
+    # copied, not adopted: keeping the product itself raised perfbench's peak
+    # RSS (glibc's heap then served the filter's buffers from fresh pages)
     return Raster(phantom.array * unit_speckle(sit.looks, phantom.shape, stream))
 
 
@@ -186,24 +191,90 @@ def _replicate_rows(plan, references, task):
     ]
 
 
-_worker_protocol = None  # (plan, references), set once in each pool worker
-
-
-def _init_worker(plan, references):
-    global _worker_protocol
-    _worker_protocol = (plan, references)
-
-
-def _worker_rows(task):
-    return _replicate_rows(*_worker_protocol, task)
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on (os.cpu_count() where the affinity
     call is missing)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _workers(threads: int, jobs: int) -> int:
+    """The processes a parallel path runs on: min(threads, jobs, usable CPUs),
+    once threads is an integer >= 1."""
+    check_integer(threads, "threads")
+    if threads < 1:
+        raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
+    return min(threads, jobs, _usable_cpus())
+
+
+def _forked_map(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], on `workers` processes.
+
+    This process runs items[0::workers] itself; child w, forked from it (POSIX
+    only), runs items[w::workers] and sends its results back pickled through
+    a pipe, and the results are returned in item order.  A child's exception
+    reaches the caller with its class and message; a child that ends without
+    a result raises DespeckleError naming its exit status.  No child outlives
+    the call: when it raises, in this process's share or from a child, the
+    children not yet collected are killed, and every child is reaped.
+    """
+    # a buffered line would otherwise be written again by each child
+    sys.stdout.flush()
+    sys.stderr.flush()
+    results = [None] * len(items)
+    children = {}  # worker -> (pid, read end of its pipe), until reaped
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _run_share(fn, items[w::workers], write)
+            os.close(write)
+            children[w] = pid, os.fdopen(read, "rb")
+        results[0::workers] = [fn(item) for item in items[0::workers]]
+        for w, (pid, pipe) in list(children.items()):
+            payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[w]
+            pipe.close()
+            if not payload:
+                raise DespeckleError(
+                    f"worker process {pid} exited with status {status} and no result")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results[w::workers] = value
+        return results
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_share(fn, share: list, write: int):
+    """A forked child's whole life: run its share, write (True, results) or
+    (False, exception) to the pipe, and exit, never returning into the
+    caller's stack.  An interrupt, or a reply that cannot be pickled, ends it
+    with status 1 and no payload."""
+    status = 1
+    try:
+        try:
+            reply = True, [fn(item) for item in share]
+        except Exception as exc:
+            reply = False, exc
+        payload = pickle.dumps(reply)
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def run_protocol(plan: RunPlan, threads: int = 1) -> list:
@@ -215,32 +286,49 @@ def run_protocol(plan: RunPlan, threads: int = 1) -> list:
     Reference.reports call.  Replicates are independent tasks; `threads` only
     controls how they are scheduled, never the numbers produced.  It uses
     min(threads, tasks, CPUs) workers, counting the CPUs this process may run
-    on.  With one worker the tasks run in this process.  With more, each
-    worker is a process forked from this one (the "fork" start method, so
-    POSIX only), handed the plan and the references once, and sent
-    (situation, replicate) pairs; a worker's exception reaches the caller
-    with its class and message.  Python 3.12 and later may warn
+    on: this process, which runs every workers-th task from the first, and
+    workers - 1 processes forked from it (POSIX only), which run the others
+    and send their rows back; a worker's exception reaches the caller with
+    its class and message.  Python 3.12 and later may warn
     (DeprecationWarning) that forking a process with live threads can
     deadlock: numpy's OpenBLAS starts native threads at import.
     """
-    check_integer(threads, "threads")
-    if threads < 1:
-        raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
+    tasks = [(sid, rep) for sid in plan.situations for rep in range(plan.replicates)]
+    workers = _workers(threads, len(tasks))
     references = {sid: Reference(make_phantom(plan.geometry, SITUATIONS[sid]), plan.geometry)
                   for sid in plan.situations}
-    tasks = [(sid, rep) for sid in plan.situations for rep in range(plan.replicates)]
-    workers = min(threads, len(tasks), _usable_cpus())
-    if workers <= 1:
-        chunks = list(map(partial(_replicate_rows, plan, references), tasks))
-    else:
-        # imported here, so that a run in this process never loads the pool
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_init_worker,
-                                 initargs=(plan, references)) as pool:
-            chunks = list(pool.map(_worker_rows, tasks))
+    chunks = _forked_map(partial(_replicate_rows, plan, references), tasks, workers)
     return [row for chunk in chunks for row in chunk]
+
+
+# Fewest pixels per row band, so filter_bands forks only from 2 * BAND_PIXELS
+# pixels.  Two bands on two processes against filter_image, default spec
+# (2-vCPU Xeon, numpy 2.4.6, shared host, 3 rounds of 11 alternating calls),
+# at 5x5 and 7x7: 128x128 0.55-0.83x and 0.61-1.03x, 128x160 0.84-0.88x and
+# 0.82-0.94x, 160x160 0.95-0.98x and 1.00-1.06x, 128x256 0.93-1.00x and
+# 0.95-1.17x, 192x192 1.07-1.19x and 1.10-1.28x, 256x256 1.32-1.41x and
+# 1.16-1.40x.  Every band gave filter_image's bytes.
+BAND_PIXELS = 18432
+
+
+def filter_bands(img: Raster, spec: FilterSpec, threads: int = 1) -> Raster:
+    """filter_image(img, spec), computed in row bands on up to `threads`
+    processes, with the same bytes.
+
+    The image is split into min(threads, usable CPUs, rows, pixels //
+    BAND_PIXELS) bands of whole rows.  One band runs filter_image in this
+    process.  Otherwise the image is padded once; this process filters the top
+    band and children forked from it (_forked_map) the others.  Each pixel
+    depends on its window alone, so no band boundary shows in the output.
+    """
+    bands = min(_workers(threads, img.height), img.height * img.width // BAND_PIXELS)
+    if bands <= 1:
+        return filter_image(img, spec)
+    padded = pad_for_window(img, spec.window)
+    edges = [img.height * b // bands for b in range(bands + 1)]
+    rows = _forked_map(lambda band: _filter_rows(padded, *band, spec),
+                       list(zip(edges, edges[1:])), bands)
+    return Raster._adopt(np.concatenate(rows))
 
 
 def _row_sort_key(row):

@@ -163,15 +163,15 @@ class FilterSpec:
 # ---------------------------------------------------------------------------
 # engine
 #
-# filter_image alone calls the block function, on blocks of whole rows (np.sum
+# _filter_rows alone calls the block function, on blocks of whole rows (np.sum
 # over one centre's (cells, 1) column would add pairwise).  The shifts are per
 # window and each sum adds a window's cells in one order, so a pixel depends on
-# its window alone: filter_pixel and a row band filtered on its own give
-# filter_image's bits.  Windows holding zeros take the same path; only the
-# values the tests see change.
+# its window alone: filter_pixel and a row band filtered on its own (as
+# harness.filter_bands does) give filter_image's bits.  Windows holding zeros
+# take the same path; only the values the tests see change.
 #
 # The engine works cells-major: a block's windows are copied as a (cells,
-# centres) array, one row per window cell, into arrays that one filter_image
+# centres) array, one row per window cell, into arrays that one _filter_rows
 # call reuses across its blocks, and the regions are gathered as rows with
 # np.take.  Each region sum adds its rows left to right and the pooled output
 # sums all cells with windows.sum_rows (np.sum's order over a row): the orders
@@ -325,19 +325,25 @@ def filter_pixel(padded: Raster, center: tuple, spec: FilterSpec) -> float:
     return float(filter_image(Raster(window), spec).array[half, half])
 
 
+def _filter_rows(padded: np.ndarray, first: int, last: int, spec: FilterSpec) -> np.ndarray:
+    """The filtered image rows first .. last - 1 of a mirror-padded image, as a
+    fresh array: blocks of whole rows, about BLOCK_PIXELS centres each, into
+    one set of arrays reused block after block."""
+    width = padded.shape[1] - spec.window + 1
+    rows = max(1, BLOCK_PIXELS // width)
+    buffers = _Buffers(spec.window, rows * width)
+    out = np.empty((last - first, width))
+    for top in range(first, last, rows):
+        bottom = min(top + rows, last)
+        out[top - first:bottom - first] = _filter_block(padded, top, bottom, spec,
+                                                        buffers).reshape(bottom - top, width)
+    return out
+
+
 def filter_image(img: Raster, spec: FilterSpec) -> Raster:
     """Filter every pixel once; mirror padding keeps the output size equal.
 
-    The engine runs in the caller's thread on blocks of whole rows, about
-    BLOCK_PIXELS centres each, into one set of arrays reused block after block.
+    The engine runs in the caller's thread; harness.filter_bands splits a large
+    image into row bands on forked processes.
     """
-    padded = pad_for_window(img, spec.window)
-    rows = max(1, BLOCK_PIXELS // img.width)
-    buffers = _Buffers(spec.window, rows * img.width)
-    out = np.empty((img.height, img.width))
-    for first in range(0, img.height, rows):
-        last = min(first + rows, img.height)
-        out[first:last] = _filter_block(padded, first, last, spec, buffers).reshape(
-            last - first, img.width
-        )
-    return Raster(out)
+    return Raster._adopt(_filter_rows(pad_for_window(img, spec.window), 0, img.height, spec))

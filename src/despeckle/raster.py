@@ -33,15 +33,16 @@ class Raster:
     """Immutable 2-D array of finite, non-negative intensities, in a private copy."""
 
     def __init__(self, values):
-        arr = np.array(values, dtype=np.float64, order="C")
-        if arr.ndim != 2 or arr.size == 0:
-            raise InvalidArgumentError("raster must be a non-empty 2-D array")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidArgumentError("raster values must be finite")
-        if np.any(arr < 0):
-            raise InvalidArgumentError("raster values must be >= 0")
-        arr.setflags(write=False)
-        self._arr = arr
+        self._arr = _checked(np.array(values, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Raster":
+        """A Raster over arr itself, checked and set read-only but not copied:
+        for a fresh array this package just made and keeps no other reference
+        to (a reader's payload, a filter's output)."""
+        raster = cls.__new__(cls)
+        raster._arr = _checked(np.asarray(arr, dtype=np.float64, order="C"))
+        return raster
 
     @property
     def array(self) -> np.ndarray:
@@ -73,6 +74,18 @@ class Raster:
 
     def __repr__(self):
         return f"Raster({self.height}x{self.width})"
+
+
+def _checked(arr: np.ndarray) -> np.ndarray:
+    """arr, set read-only, once it holds a raster's values."""
+    if arr.ndim != 2 or arr.size == 0:
+        raise InvalidArgumentError("raster must be a non-empty 2-D array")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError("raster values must be finite")
+    if np.any(arr < 0):
+        raise InvalidArgumentError("raster values must be >= 0")
+    arr.setflags(write=False)
+    return arr
 
 
 def pad_mirror(img: Raster, margin: int) -> Raster:
@@ -142,7 +155,7 @@ def read_raster(path, fmt: str) -> Raster:
         raise InvalidArgumentError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     arr = {"ascii": _read_ascii, "raw": _read_raw, "pgm": _read_pgm}[fmt](path)
     try:
-        return Raster(arr)
+        return Raster._adopt(arr)
     except InvalidArgumentError as exc:  # values a raster may not hold: a bad file
         raise FormatError(str(exc)) from exc
 

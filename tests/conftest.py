@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ FAST_SEED = 0
 @pytest.fixture(scope="session")
 def fast_run(tmp_path_factory):
     """One full --fast protocol, run twice: in-process (--threads 1) and with
-    --threads 4, which forks min(4, usable CPUs) worker processes.
+    --threads 4, which runs on min(4, usable CPUs) processes, this one and
+    children forked from it.
 
     Several acceptance checks share this: the CSVs must be byte-identical,
     and the in-process rows carry the ENL / Q / edge-variance medians.
@@ -22,6 +25,12 @@ def fast_run(tmp_path_factory):
     assert cli.main(base + ["--threads", "1", "--out", str(path1)]) == 0
     assert cli.main(base + ["--threads", "4", "--out", str(path4)]) == 0
     return {"path1": path1, "path4": path4, "rows": read_csv_rows(path1)}
+
+
+def assert_no_child_left():
+    """No process forked by this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def median_of(rows, col, **match):

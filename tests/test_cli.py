@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_no_child_left
 from despeckle import (
     METRIC_HEADER,
     FilterSpec,
@@ -153,7 +154,7 @@ def test_filter_takes_values_near_the_float_maximum(tmp_path, capsys, kind, peak
 
 
 def test_filter_threads_flag_keeps_output(tmp_path, noisy_pair):
-    # the filter runs in one thread; --threads is still accepted, and ignored
+    # a 64x64 image is too small for row bands: every count runs in this process
     _, noisy = noisy_pair
     outputs = []
     for threads in ("1", "2", "3"):
@@ -161,6 +162,57 @@ def test_filter_threads_flag_keeps_output(tmp_path, noisy_pair):
         assert run("filter", "--in", str(noisy), "--out", str(out), "--threads", threads) == 0
         outputs.append(out.read_bytes())
     assert outputs[1:] == outputs[:1] * 2
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The os.fork calls of harness, which still fork, on two usable CPUs."""
+    calls = []
+    real = os.fork
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness.os, "fork", counted)
+    return calls
+
+
+@pytest.mark.parametrize("window", ["5", "7"])
+def test_filter_threads_give_the_same_bytes_on_forked_bands(tmp_path, monkeypatch, forks,
+                                                            window):
+    # an odd height, zeros, a zero block and a 2^600 stripe, split into two
+    # row bands of 18 and 19 rows
+    arr = 100.0 * unit_speckle(2.0, (37, 50), np.random.default_rng(8))
+    arr.flat[::13] = 0.0
+    arr[20:27, 3:11] = 0.0
+    arr[17:19, 30:] *= 2.0**600
+    src = tmp_path / "in.raw"
+    write_raster(Raster(arr), src, "raw")
+    monkeypatch.setattr(harness, "BAND_PIXELS", 100)
+    for kind in divergence.KINDS + ("lee",):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{kind}-{threads}.raw"
+            assert run("filter", "--in", str(src), "--out", str(out), "--filter", kind,
+                       "--window", window, "--threads", threads) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], kind
+    assert len(forks) == len(divergence.KINDS)  # lee stays in one process
+    assert_no_child_left()
+
+
+def test_filter_threads_fork_only_for_a_large_image(tmp_path, forks):
+    # the 64x256 strip perfbench filters stays in this process at --threads 2;
+    # an image of 2 * BAND_PIXELS pixels forks one child
+    for shape, expected in (((64, 256), 0), ((64, 2 * harness.BAND_PIXELS // 64), 1)):
+        src, out = tmp_path / "in.raw", tmp_path / "out.raw"
+        write_raster(Raster(100.0 * unit_speckle(3.0, shape, np.random.default_rng(9))), src, "raw")
+        forks.clear()
+        assert run("filter", "--in", str(src), "--out", str(out), "--threads", "2") == 0
+        assert len(forks) == expected, shape
+    assert_no_child_left()
 
 
 def test_evaluate_prints_header_and_row(tmp_path, noisy_pair, capsys):
@@ -266,7 +318,7 @@ def test_evaluate_images_too_small_for_q(tmp_path, capsys):
 def test_cold_start_imports_no_scipy(tmp_path):
     # a fresh interpreter filters a raster and runs a one-task protocol
     # without loading scipy, whose import would take most of its start-up,
-    # or the process pool, which only a protocol on more than one worker uses
+    # or a process-pool library, which no path uses
     raw = tmp_path / "in.raw"
     write_raster(Raster(unit_speckle(4.0, (8, 8), np.random.default_rng(0))), str(raw), "raw")
     filter_args = ["filter", "--in", str(raw), "--out", str(tmp_path / "out.raw")]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
-from conftest import bisect_200, stream
+from conftest import assert_no_child_left, bisect_200, stream
 from despeckle import (
     FilterSpec,
     GammaParams,
@@ -28,7 +28,7 @@ from despeckle import (
     sample,
     unit_speckle,
 )
-from despeckle import divergence, nmfilter
+from despeckle import divergence, harness, nmfilter
 from despeckle.divergence import (
     KINDS,
     sidak_level,
@@ -370,11 +370,8 @@ def zero_strip():
     return Raster(arr)
 
 
-@pytest.mark.parametrize(
-    "kind,window,variant",
-    [pytest.param(*key, id="-".join(str(k) for k in key if k)) for key in sorted(FILTER_DIGESTS)],
-)
-def test_filter_output_matches_frozen_digest(kind, window, variant):
+def digest_case(kind, window, variant):
+    """The image and spec of one FILTER_DIGESTS case."""
     if "zeros" in variant:
         img = zero_strip()
     else:
@@ -390,8 +387,37 @@ def test_filter_output_matches_frozen_digest(kind, window, variant):
         alpha=0.01 if "alpha01" in variant else 0.2,
         renyi_order=0.9 if "order09" in variant else 0.5,
     )
-    out = filter_image(img, FilterSpec(window=window, test=cfg))
+    return img, FilterSpec(window=window, test=cfg)
+
+
+DIGEST_CASES = [pytest.param(*key, id="-".join(str(k) for k in key if k))
+                for key in sorted(FILTER_DIGESTS)]
+
+
+@pytest.mark.parametrize("kind,window,variant", DIGEST_CASES)
+def test_filter_output_matches_frozen_digest(kind, window, variant):
+    out = filter_image(*digest_case(kind, window, variant))
     assert hashlib.sha256(out.array.tobytes()).hexdigest() == FILTER_DIGESTS[kind, window, variant]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("kind,window,variant", DIGEST_CASES)
+def test_row_bands_match_frozen_digest(monkeypatch, kind, window, variant, workers):
+    # the 32x128 strip split into `workers` row bands, one per process
+    monkeypatch.setattr(harness, "BAND_PIXELS", 64)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    calls = []
+    real = harness._forked_map
+
+    def spy(fn, items, count):
+        calls.append(count)
+        return real(fn, items, count)
+
+    monkeypatch.setattr(harness, "_forked_map", spy)
+    out = harness.filter_bands(*digest_case(kind, window, variant), threads=workers)
+    assert calls == [workers]
+    assert hashlib.sha256(out.array.tobytes()).hexdigest() == FILTER_DIGESTS[kind, window, variant]
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("shared_looks", ["pooled", "sample1"])

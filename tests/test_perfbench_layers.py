@@ -53,20 +53,24 @@ def test_no_module_imports_a_name_it_never_reads(targets):
     assert unused == []
 
 
-def test_only_harness_imports_a_parallel_library():
-    # the protocol's forked replicates are the one parallel layer
+def test_no_parallel_library_and_only_harness_forks():
+    # harness._forked_map is the one parallel layer: it forks with os.fork,
+    # and no module loads a pool or thread library
     parallel = {"concurrent", "threading", "multiprocessing"}
-    found = []
+    imports, forks = [], set()
     for path in sorted((ROOT / "src" / "despeckle").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
+                imports += [(path.stem, a.name) for a in node.names
+                            if a.name.partition(".")[0] in parallel]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            found += [(path.stem, m) for m in modules if m.partition(".")[0] in parallel]
-    assert found and {stem for stem, _ in found} == {"harness"}, found
+                if node.module.partition(".")[0] in parallel or node.module == "os" and any(
+                        a.name == "fork" for a in node.names):
+                    imports.append((path.stem, node.module))
+            elif isinstance(node, ast.Attribute) and node.attr == "fork":
+                forks.add(path.stem)
+    assert imports == []
+    assert forks == {"harness"}
 
 
 def test_montecarlo_passes_threads_by_keyword(targets, monkeypatch, tmp_path):

@@ -1,14 +1,14 @@
-import concurrent.futures
 import dataclasses
 import hashlib
-import multiprocessing
+import os
 import pickle
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import stream
+from conftest import assert_no_child_left, stream
 from despeckle import (
     DegenerateRegionError,
     DespeckleError,
@@ -415,7 +415,7 @@ def test_run_protocol_refuses_fewer_than_one_worker(monkeypatch):
     for threads in (0, -2):
         with pytest.raises(InvalidArgumentError, match="threads must be >= 1"):
             run_protocol(tiny_plan(), threads=threads)
-    # these reached ProcessPoolExecutor, which raised TypeError
+    # these once reached the process pool, which raised TypeError
     for threads in (float("nan"), 1.5, True):
         with pytest.raises(InvalidArgumentError, match="threads must be an integer"):
             run_protocol(tiny_plan(), threads=threads)
@@ -429,34 +429,23 @@ def test_run_protocol_thread_count_is_invisible(tmp_path):
         for threads in (1, 2, 3, 5):
             path = tmp_path / f"t{threads}.csv"
             write_csv(run_protocol(plan, threads=threads), path, comments=("seed = 7",))
-            assert multiprocessing.active_children() == [], threads
+            assert_no_child_left()
             csvs.append(path.read_bytes())
     assert csvs[1:] == csvs[:1] * 3
 
 
 def test_run_protocol_caps_workers_at_the_usable_cpus(monkeypatch, tmp_path):
-    # no process starts: the pool is a fake that records its size and runs
-    # the tasks here, through the same worker initializer
+    # no process starts: the fork helper is a spy that records its worker
+    # count and runs every task here
     sizes = []
 
-    class InProcessPool:
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+    def in_process(fn, items, workers):
+        sizes.append(workers)
+        return [fn(item) for item in items]
 
     plan = dataclasses.replace(tiny_plan(), situations=(1, 2, 3, 4), filters=(("input", None),))
     write_csv(run_protocol(plan), tmp_path / "t1.csv")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(harness, "_worker_protocol", None)
+    monkeypatch.setattr(harness, "_forked_map", in_process)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     write_csv(run_protocol(plan, threads=64), tmp_path / "t64.csv")
     monkeypatch.delattr(harness.os, "sched_getaffinity")
@@ -465,6 +454,46 @@ def test_run_protocol_caps_workers_at_the_usable_cpus(monkeypatch, tmp_path):
     assert sizes == [2, 3]
     for name in ("t64.csv", "t64-no-affinity.csv"):
         assert (tmp_path / name).read_bytes() == (tmp_path / "t1.csv").read_bytes()
+
+
+@pytest.mark.parametrize("failure", [DomainError("the caller's share failed"), KeyboardInterrupt()])
+def test_a_failing_callers_share_kills_the_running_children(failure):
+    # the caller runs item 0 and raises; the child running item 1 would
+    # sleep for a minute, and is killed and reaped instead
+    def fn(item):
+        if item == 0:
+            raise failure
+        time.sleep(60)
+        return item
+
+    start = time.monotonic()
+    with pytest.raises(type(failure)) as caught:
+        harness._forked_map(fn, [0, 1], 2)
+    assert caught.value is failure
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_a_child_that_sends_no_result_is_named_by_its_status(tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+    real = harness._replicate_rows
+
+    def exit_in_children(plan, references, task):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(plan, references, task)
+
+    monkeypatch.setattr(harness, "_replicate_rows", exit_in_children)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    plan = fast_plan(situations=(2, 3), replicates=1, filters=(("input", None),))
+    with pytest.raises(DespeckleError, match="exited with status 3 and no result"):
+        run_protocol(plan, threads=2)
+    assert_no_child_left()
+    argv = ["montecarlo", "--fast", "--situations", "2,3", "--replicates", "1",
+            "--filters", "input", "--threads", "2", "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 1
+    assert "status 3" in capsys.readouterr().err
+    assert_no_child_left()
 
 
 # Two levels: input and lee:5 give one image at both, hellinger:5 one at each.
@@ -536,26 +565,29 @@ def test_errors_pickle_with_class_and_message():
 def test_worker_errors_reach_the_caller_unchanged(tmp_path, monkeypatch):
     real = metrics.Reference.reports
     failure = [DegenerateRegionError("situation 3 is degenerate")]
+    parent = os.getpid()
 
     def failing(reference, tests):
-        # forked workers inherit this patch
-        if reference.image.array.min() == SITUATIONS[3].background_mean:
+        # forked workers inherit this patch; only they raise, so the
+        # exception crosses the pipe
+        if os.getpid() != parent and reference.image.array.min() == SITUATIONS[3].background_mean:
             raise failure[0]
         return real(reference, tests)
 
     monkeypatch.setattr(metrics.Reference, "reports", failing)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     plan = fast_plan(situations=(2, 3), replicates=2, filters=(("input", None),))
     with pytest.raises(DegenerateRegionError) as caught:
         run_protocol(plan, threads=2)
     assert type(caught.value) is DegenerateRegionError
     assert str(caught.value) == "situation 3 is degenerate"
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     argv = ["montecarlo", "--fast", "--situations", "2,3", "--replicates", "2",
             "--filters", "input", "--threads", "2", "--out", str(tmp_path / "out.csv")]
     assert cli.main(argv) == 1
     failure[0] = InvalidArgumentError("situation 3 is invalid")
     assert cli.main(argv) == 2
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_write_csv_sorts_and_read_round_trips(tmp_path):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,22 @@ def test_raster_keeps_its_pixels_to_itself():
     assert a[0, 0] == 5.0 and a[1, 1] == 7.0
     assert np.array_equal(r.array, np.ones((3, 3)))
     assert hash(r) == before
+    assert a.flags.writeable and not np.shares_memory(a, r.array)
+
+
+def test_read_raster_holds_one_copy_of_the_pixels(tmp_path):
+    # the raw reader's payload becomes the raster's array: a 2 MiB file once
+    # peaked at 4.25 MiB, with the payload and the raster's copy of it alive
+    path = tmp_path / "big.raw"
+    write_raster(Raster(np.arange(512.0 * 512).reshape(512, 512)), path, "raw")
+    tracemalloc.start()
+    try:
+        img = read_raster(path, "raw")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert img.array[511, 511] == 512.0 * 512 - 1 and not img.array.flags.writeable
+    assert peak <= 2.5 * 2**20, peak
 
 
 def test_raster_rejects_bad_values():
