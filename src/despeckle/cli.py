@@ -159,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1,
                    help="processes for the (situation, replicate) tasks, at most one per"
                         " usable CPU: this one and children forked from it (POSIX only),"
-                        " each running every N-th task; 1 runs in this process (default 1)")
+                        " each running one contiguous block of the tasks; 1 runs in this"
+                        " process (default 1)")
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("masks", help="print the committed region mask tables")

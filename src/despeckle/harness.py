@@ -21,6 +21,7 @@ import signal
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -166,10 +167,9 @@ def _apply_filter(kind, window, corrupted, sit, level, plan):
     return filter_image(corrupted, FilterSpec(window=window, test=plan.test_config(kind, level)))
 
 
-def _replicate_rows(plan, references, task):
+def _replicate_rows(plan, reference, task):
     sid, rep = task
     sit = SITUATIONS[sid]
-    reference = references[sid]
     corrupted = corrupt(reference.image, sit, replicate_stream(plan.master_seed, sid, rep))
     # only the region tests depend on the level; the others give one image
     images = {}
@@ -191,6 +191,18 @@ def _replicate_rows(plan, references, task):
     ]
 
 
+def _block_rows(plan, block):
+    """The rows of a contiguous run of tasks.  Each situation's Reference is
+    built when the run reaches it, once the previous one is dropped, so a
+    process holds one at a time."""
+    rows = []
+    for sid, tasks in groupby(block, key=lambda task: task[0]):
+        reference = Reference(make_phantom(plan.geometry, SITUATIONS[sid]), plan.geometry)
+        rows.extend(row for task in tasks for row in _replicate_rows(plan, reference, task))
+        del reference  # freed before the next situation's is built
+    return rows
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on (os.cpu_count() where the affinity
     call is missing)."""
@@ -206,6 +218,13 @@ def _workers(threads: int, jobs: int) -> int:
     if threads < 1:
         raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
     return min(threads, jobs, _usable_cpus())
+
+
+def _spans(count: int, parts: int) -> list:
+    """[(start, stop)] of `parts` contiguous runs that split range(count),
+    their lengths differing by at most one."""
+    edges = [count * p // parts for p in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def _forked_map(fn, items: list, workers: int) -> list:
@@ -278,26 +297,27 @@ def _run_share(fn, share: list, write: int):
 
 
 def run_protocol(plan: RunPlan, threads: int = 1) -> list:
-    """Execute the plan and return unsorted result rows (dicts).
+    """Execute the plan and return unsorted result rows (dicts), in task order.
 
-    Each situation's phantom is built once on plan.geometry, as a
-    metrics.Reference that keeps the phantom's side of the metrics, and each
-    replicate scores all of its filtered images against it in one
-    Reference.reports call.  Replicates are independent tasks; `threads` only
+    The tasks are the (situation, replicate) pairs, situation-major.  Each
+    replicate scores all of its filtered images in one Reference.reports call
+    against its situation's metrics.Reference, the phantom on plan.geometry
+    with its side of the metrics.  Replicates are independent; `threads` only
     controls how they are scheduled, never the numbers produced.  It uses
     min(threads, tasks, CPUs) workers, counting the CPUs this process may run
-    on: this process, which runs every workers-th task from the first, and
-    workers - 1 processes forked from it (POSIX only), which run the others
-    and send their rows back; a worker's exception reaches the caller with
-    its class and message.  Python 3.12 and later may warn
-    (DeprecationWarning) that forking a process with live threads can
-    deadlock: numpy's OpenBLAS starts native threads at import.
+    on, and cuts the task list into that many contiguous blocks: this process
+    runs the first, and workers - 1 processes forked from it (POSIX only) run
+    the others and send their rows back; a worker's exception reaches the
+    caller with its class and message.  Each worker builds the Reference of a
+    situation when its block reaches it and drops it at the next, so it holds
+    one at a time and none is built before the fork.  Python 3.12 and later
+    may warn (DeprecationWarning) that forking a process with live threads
+    can deadlock: numpy's OpenBLAS starts native threads at import.
     """
     tasks = [(sid, rep) for sid in plan.situations for rep in range(plan.replicates)]
     workers = _workers(threads, len(tasks))
-    references = {sid: Reference(make_phantom(plan.geometry, SITUATIONS[sid]), plan.geometry)
-                  for sid in plan.situations}
-    chunks = _forked_map(partial(_replicate_rows, plan, references), tasks, workers)
+    blocks = [tasks[start:stop] for start, stop in _spans(len(tasks), workers)]
+    chunks = _forked_map(partial(_block_rows, plan), blocks, workers)
     return [row for chunk in chunks for row in chunk]
 
 
@@ -320,14 +340,16 @@ def filter_bands(img: Raster, spec: FilterSpec, threads: int = 1) -> Raster:
     process.  Otherwise the image is padded once; this process filters the top
     band and children forked from it (_forked_map) the others.  Each pixel
     depends on its window alone, so no band boundary shows in the output.
+    Python 3.12 and later may warn (DeprecationWarning) that forking a process
+    with live threads can deadlock: numpy's OpenBLAS starts native threads at
+    import.
     """
     bands = min(_workers(threads, img.height), img.height * img.width // BAND_PIXELS)
     if bands <= 1:
         return filter_image(img, spec)
     padded = pad_for_window(img, spec.window)
-    edges = [img.height * b // bands for b in range(bands + 1)]
     rows = _forked_map(lambda band: _filter_rows(padded, *band, spec),
-                       list(zip(edges, edges[1:])), bands)
+                       _spans(img.height, bands), bands)
     return Raster._adopt(np.concatenate(rows))
 
 

@@ -178,17 +178,17 @@ def _q_scores(x: np.ndarray, varying: np.ndarray, tests, shift=None, moments=Non
 
 
 class _QReference:
-    """The reference's side of Q: the windows where it varies, its window
-    maximum for the range rule, and, once a batch at shift 0 has computed
-    them, its mean and variance over those windows at shift 0."""
+    """The reference's side of Q: the windows where it varies and, once a
+    batch at shift 0 has computed them, its mean and variance over those
+    windows at shift 0.  The range rule takes its window maximum only for a
+    pair out of range."""
 
     def __init__(self, x: np.ndarray):
         if x.shape[0] < Q_WINDOW or x.shape[1] < Q_WINDOW:
             raise InvalidArgumentError(f"images must allow one full {Q_WINDOW}x{Q_WINDOW} window")
         self._x = x
-        self._top = window_max(x, Q_WINDOW)
         # a window holding nan varies (nan != nan); its nan variance leaves it unused
-        varying = np.flatnonzero(window_min(x, Q_WINDOW) != self._top)
+        varying = np.flatnonzero(window_min(x, Q_WINDOW) != window_max(x, Q_WINDOW))
         self._varying = varying[varying % x.shape[1] <= x.shape[1] - Q_WINDOW]
         self._low, self._high = x.min(), x.max()
         self._moments = None
@@ -204,7 +204,7 @@ class _QReference:
             shift = range_shift(
                 min(self._low, y.min()),
                 max(self._high, y.max()),
-                lambda: np.maximum(self._top, window_max(y, Q_WINDOW)),
+                lambda: np.maximum(window_max(self._x, Q_WINDOW), window_max(y, Q_WINDOW)),
             )
             if np.any(shift):
                 out[i] = _q_scores(self._x, self._varying, [y], np.ravel(shift)[self._varying])[0][0]
@@ -387,12 +387,13 @@ class Reference:
     """A reference image and the parts of its metrics that depend on it alone,
     to score any number of test images against it.
 
-    Built once, it holds Q's varying windows and window maximum, and the
-    reference's centred Laplacian with its sum of squares; its Q means and
-    variances at shift 0 are kept from the first batch that computes them.
-    These are small arrays: the reference's cells are gathered again, a chunk
-    at a time, by every batch.  A side the reference cannot have (Q needs an
-    8x8 window, the Laplacian 3x3) is None, and its columns are NA in every
+    Built once, it holds Q's varying windows and the reference's centred
+    Laplacian with its sum of squares; its Q means and variances at shift 0
+    are kept from the first batch that computes them.  Only the Laplacian is
+    as large as the image: the reference's cells are gathered again, a chunk
+    at a time, by every batch, and its window maximum only by a batch that
+    the range rule scales.  A side the reference cannot have (Q needs an 8x8
+    window, the Laplacian 3x3) is None, and its columns are NA in every
     report.  A geometry of another size than the image raises
     InvalidArgumentError.
     """
@@ -402,7 +403,6 @@ class Reference:
             _check_geometry(image, geom)
         self.image = image
         self.geom = geom
-        # built here, once, so forked workers inherit them
         self._q = _attempt(lambda: _QReference(image.array))
         self._centred = _attempt(lambda: _centred_laplacian(image.array))
 

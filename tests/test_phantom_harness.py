@@ -4,6 +4,7 @@ import os
 import pickle
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -421,17 +422,23 @@ def test_run_protocol_refuses_fewer_than_one_worker(monkeypatch):
             run_protocol(tiny_plan(), threads=threads)
 
 
-def test_run_protocol_thread_count_is_invisible(tmp_path):
-    plan = tiny_plan()  # 2 tasks: 3 and 5 ask for more workers than tasks
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        csvs = []
-        for threads in (1, 2, 3, 5):
-            path = tmp_path / f"t{threads}.csv"
-            write_csv(run_protocol(plan, threads=threads), path, comments=("seed = 7",))
-            assert_no_child_left()
-            csvs.append(path.read_bytes())
-    assert csvs[1:] == csvs[:1] * 3
+def test_run_protocol_thread_count_is_invisible(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    # tiny_plan has 2 tasks: 3 and 5 ask for more workers than tasks.  The 6
+    # tasks of 2 situations x 3 replicates cut into blocks that cross from
+    # situation 1 to 2 at 1 and 3 workers, and that do not at 2 and 4.
+    crossing = dataclasses.replace(tiny_plan(), situations=(1, 2), replicates=3)
+    for name, plan, counts in (("tiny", tiny_plan(), (1, 2, 3, 5)),
+                               ("crossing", crossing, (1, 2, 3, 4))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            csvs = []
+            for threads in counts:
+                path = tmp_path / f"{name}-t{threads}.csv"
+                write_csv(run_protocol(plan, threads=threads), path, comments=("seed = 7",))
+                assert_no_child_left()
+                csvs.append(path.read_bytes())
+        assert csvs[1:] == csvs[:1] * 3, name
 
 
 def test_run_protocol_caps_workers_at_the_usable_cpus(monkeypatch, tmp_path):
@@ -551,6 +558,27 @@ def test_each_phantom_is_prepared_once_per_situation(monkeypatch):
     rows = run_protocol(plan)
     assert len(rows) == 12 and all(row["report"].q_mean is not None for row in rows)
     assert calls == [(64, 64)] * 2
+
+
+def test_a_worker_holds_one_situations_reference_at_a_time(monkeypatch):
+    # each Reference is built when the tasks reach its situation, after the
+    # previous one is freed, and none outlives the run
+    built, alive = [], []
+
+    def factory(image, geom):
+        alive.append(sum(ref() is not None for _, ref in built))
+        reference = metrics.Reference(image, geom)
+        built.append((image.array.min(), weakref.ref(reference)))
+        return reference
+
+    monkeypatch.setattr(harness, "Reference", factory)
+    plan = dataclasses.replace(tiny_plan(), situations=(1, 2, 3, 4), filters=(("input", None),))
+    rows = run_protocol(plan, threads=1)
+    assert len(rows) == 4 * 2
+    assert [background for background, _ in built] == [
+        SITUATIONS[sid].background_mean for sid in (1, 2, 3, 4)]
+    assert alive == [0, 0, 0, 0]
+    assert all(ref() is None for _, ref in built)
 
 
 def test_errors_pickle_with_class_and_message():
