@@ -20,7 +20,6 @@ import pickle
 import signal
 import sys
 from dataclasses import dataclass
-from functools import partial
 from itertools import groupby
 from typing import NamedTuple
 
@@ -32,7 +31,7 @@ from .gamma import unit_speckle
 from .lee import LeeSpec, lee_filter
 # compute_report stays bound here, unread: perfbench's traced run rebinds it by name
 from .metrics import MetricReport, Reference, compute_report, csv_cell
-from .nmfilter import FilterSpec, _filter_rows, filter_image, nm_masks
+from .nmfilter import WINDOWS, FilterSpec, _filter_rows, filter_image, nm_masks
 from .phantom import PhantomGeometry, default_geometry, render_phantom
 from .raster import Raster, pad_for_window
 
@@ -131,7 +130,14 @@ class RunPlan:
         for kind, window in self.filters:
             if kind not in FILTER_KINDS:
                 raise InvalidArgumentError(f"unknown filter kind {kind!r}")
-            if kind != "input":
+            if kind == "input":
+                if window is not None:
+                    raise InvalidArgumentError(
+                        f"filter entry 'input:{window}': input takes no window")
+            elif window is None:
+                raise InvalidArgumentError(
+                    f"filter entry {kind!r} needs a window: {kind}:N, N in WINDOWS {WINDOWS}")
+            else:
                 nm_masks(window)  # refuses a window outside WINDOWS
         for level in self.levels:
             if not 0.0 < level < 1.0:
@@ -220,31 +226,28 @@ def _workers(threads: int, jobs: int) -> int:
     return min(threads, jobs, _usable_cpus())
 
 
-def _spans(count: int, parts: int) -> list:
-    """[(start, stop)] of `parts` contiguous runs that split range(count),
-    their lengths differing by at most one."""
-    edges = [count * p // parts for p in range(parts + 1)]
-    return list(zip(edges, edges[1:]))
+def _forked_spans(fn, count: int, parts: int) -> list:
+    """[fn(start, stop)] for the `parts` contiguous runs that split
+    range(count) in order, their lengths differing by at most one.
 
-
-def _forked_map(fn, items: list, workers: int) -> list:
-    """[fn(item) for item in items], on `workers` processes.
-
-    This process runs items[0::workers] itself; child w, forked from it (POSIX
-    only), runs items[w::workers] and sends its results back pickled through
-    a pipe, and the results are returned in item order.  A child's exception
-    reaches the caller with its class and message; a child that ends without
-    a result raises DespeckleError naming its exit status.  No child outlives
-    the call: when it raises, in this process's share or from a child, the
-    children not yet collected are killed, and every child is reaped.
+    This process runs the first run itself; a child forked from it (POSIX
+    only) runs each other run and sends its result back pickled through a
+    pipe.  A child's exception reaches the caller with its class and message;
+    a child that ends without a result raises DespeckleError naming its exit
+    status.  No child outlives the call: when it raises, in this process's run
+    or from a child, the children not yet collected are killed, and every
+    child is reaped.  Python 3.12 and later may warn (DeprecationWarning) that
+    forking a process with live threads can deadlock: numpy's OpenBLAS starts
+    native threads at import.
     """
+    edges = [count * p // parts for p in range(parts + 1)]
     # a buffered line would otherwise be written again by each child
     sys.stdout.flush()
     sys.stderr.flush()
-    results = [None] * len(items)
-    children = {}  # worker -> (pid, read end of its pipe), until reaped
+    results = [None] * parts
+    children = {}  # run -> (pid, read end of its pipe), until reaped
     try:
-        for w in range(1, workers):
+        for run in range(1, parts):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -253,14 +256,14 @@ def _forked_map(fn, items: list, workers: int) -> list:
                 os.close(write)
                 raise
             if pid == 0:
-                _run_share(fn, items[w::workers], write)
+                _run_child(fn, edges[run], edges[run + 1], write)
             os.close(write)
-            children[w] = pid, os.fdopen(read, "rb")
-        results[0::workers] = [fn(item) for item in items[0::workers]]
-        for w, (pid, pipe) in list(children.items()):
+            children[run] = pid, os.fdopen(read, "rb")
+        results[0] = fn(edges[0], edges[1])
+        for run, (pid, pipe) in list(children.items()):
             payload = pipe.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[w]
+            del children[run]
             pipe.close()
             if not payload:
                 raise DespeckleError(
@@ -268,7 +271,7 @@ def _forked_map(fn, items: list, workers: int) -> list:
             ok, value = pickle.loads(payload)
             if not ok:
                 raise value
-            results[w::workers] = value
+            results[run] = value
         return results
     finally:
         for pid, pipe in children.values():
@@ -277,15 +280,15 @@ def _forked_map(fn, items: list, workers: int) -> list:
             os.waitpid(pid, 0)
 
 
-def _run_share(fn, share: list, write: int):
-    """A forked child's whole life: run its share, write (True, results) or
-    (False, exception) to the pipe, and exit, never returning into the
+def _run_child(fn, start: int, stop: int, write: int):
+    """A forked child's whole life: run fn(start, stop), write (True, result)
+    or (False, exception) to the pipe, and exit, never returning into the
     caller's stack.  An interrupt, or a reply that cannot be pickled, ends it
     with status 1 and no payload."""
     status = 1
     try:
         try:
-            reply = True, [fn(item) for item in share]
+            reply = True, fn(start, stop)
         except Exception as exc:
             reply = False, exc
         payload = pickle.dumps(reply)
@@ -305,19 +308,14 @@ def run_protocol(plan: RunPlan, threads: int = 1) -> list:
     with its side of the metrics.  Replicates are independent; `threads` only
     controls how they are scheduled, never the numbers produced.  It uses
     min(threads, tasks, CPUs) workers, counting the CPUs this process may run
-    on, and cuts the task list into that many contiguous blocks: this process
-    runs the first, and workers - 1 processes forked from it (POSIX only) run
-    the others and send their rows back; a worker's exception reaches the
-    caller with its class and message.  Each worker builds the Reference of a
-    situation when its block reaches it and drops it at the next, so it holds
-    one at a time and none is built before the fork.  Python 3.12 and later
-    may warn (DeprecationWarning) that forking a process with live threads
-    can deadlock: numpy's OpenBLAS starts native threads at import.
+    on, and cuts the task list into that many contiguous blocks, one per
+    process (_forked_spans).  Each worker builds the Reference of a situation
+    when its block reaches it and drops it at the next, so it holds one at a
+    time and none is built before the fork.
     """
     tasks = [(sid, rep) for sid in plan.situations for rep in range(plan.replicates)]
-    workers = _workers(threads, len(tasks))
-    blocks = [tasks[start:stop] for start, stop in _spans(len(tasks), workers)]
-    chunks = _forked_map(partial(_block_rows, plan), blocks, workers)
+    chunks = _forked_spans(lambda start, stop: _block_rows(plan, tasks[start:stop]),
+                           len(tasks), _workers(threads, len(tasks)))
     return [row for chunk in chunks for row in chunk]
 
 
@@ -338,18 +336,15 @@ def filter_bands(img: Raster, spec: FilterSpec, threads: int = 1) -> Raster:
     The image is split into min(threads, usable CPUs, rows, pixels //
     BAND_PIXELS) bands of whole rows.  One band runs filter_image in this
     process.  Otherwise the image is padded once; this process filters the top
-    band and children forked from it (_forked_map) the others.  Each pixel
+    band and children forked from it (_forked_spans) the others.  Each pixel
     depends on its window alone, so no band boundary shows in the output.
-    Python 3.12 and later may warn (DeprecationWarning) that forking a process
-    with live threads can deadlock: numpy's OpenBLAS starts native threads at
-    import.
     """
     bands = min(_workers(threads, img.height), img.height * img.width // BAND_PIXELS)
     if bands <= 1:
         return filter_image(img, spec)
     padded = pad_for_window(img, spec.window)
-    rows = _forked_map(lambda band: _filter_rows(padded, *band, spec),
-                       _spans(img.height, bands), bands)
+    rows = _forked_spans(lambda first, last: _filter_rows(padded, first, last, spec),
+                         img.height, bands)
     return Raster._adopt(np.concatenate(rows))
 
 

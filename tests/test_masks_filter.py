@@ -407,13 +407,13 @@ def test_row_bands_match_frozen_digest(monkeypatch, kind, window, variant, worke
     monkeypatch.setattr(harness, "BAND_PIXELS", 64)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
     calls = []
-    real = harness._forked_map
+    real = harness._forked_spans
 
-    def spy(fn, items, count):
-        calls.append(count)
-        return real(fn, items, count)
+    def spy(fn, count, parts):
+        calls.append(parts)
+        return real(fn, count, parts)
 
-    monkeypatch.setattr(harness, "_forked_map", spy)
+    monkeypatch.setattr(harness, "_forked_spans", spy)
     out = harness.filter_bands(*digest_case(kind, window, variant), threads=workers)
     assert calls == [workers]
     assert hashlib.sha256(out.array.tobytes()).hexdigest() == FILTER_DIGESTS[kind, window, variant]

@@ -53,13 +53,28 @@ def test_no_module_imports_a_name_it_never_reads(targets):
     assert unused == []
 
 
+def _fork_sites(tree):
+    """The name of the innermost function around each .fork attribute (None
+    at module level)."""
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Attribute) and node.attr == "fork":
+            yield function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return visit(tree, None)
+
+
 def test_no_parallel_library_and_only_harness_forks():
-    # harness._forked_map is the one parallel layer: it forks with os.fork,
-    # and no module loads a pool or thread library
+    # harness._forked_spans is the one parallel layer: it alone calls
+    # os.fork, and no module loads a pool or thread library
     parallel = {"concurrent", "threading", "multiprocessing"}
-    imports, forks = [], set()
+    imports, forks = [], []
     for path in sorted((ROOT / "src" / "despeckle").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imports += [(path.stem, a.name) for a in node.names
                             if a.name.partition(".")[0] in parallel]
@@ -67,10 +82,9 @@ def test_no_parallel_library_and_only_harness_forks():
                 if node.module.partition(".")[0] in parallel or node.module == "os" and any(
                         a.name == "fork" for a in node.names):
                     imports.append((path.stem, node.module))
-            elif isinstance(node, ast.Attribute) and node.attr == "fork":
-                forks.add(path.stem)
+        forks += [(path.stem, function) for function in _fork_sites(tree)]
     assert imports == []
-    assert forks == {"harness"}
+    assert forks == [("harness", "_forked_spans")]
 
 
 def test_montecarlo_passes_threads_by_keyword(targets, monkeypatch, tmp_path):

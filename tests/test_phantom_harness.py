@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import os
 import pickle
+import re
 import time
 import warnings
 import weakref
@@ -29,6 +30,7 @@ from despeckle import (
     unit_speckle,
     write_geometry,
 )
+from despeckle.divergence import KINDS
 from despeckle.harness import (
     CSV_COLUMNS,
     DEFAULT_FILTERS,
@@ -43,6 +45,7 @@ from despeckle.harness import (
     run_protocol,
     write_csv,
 )
+from despeckle.nmfilter import WINDOWS
 
 
 def geom_with(**overrides):
@@ -383,6 +386,15 @@ def test_run_plan_validation():
     with pytest.raises(InvalidArgumentError, match="situation must be an integer"):
         RunPlan(situations=(1.0,))
     RunPlan(replicates=np.int64(2), master_seed=np.int64(3), filters=(("lee", np.int64(5)),))
+    # input takes no window, and every other filter needs one
+    for window in (5, 9, 0):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^filter entry 'input:{window}': input takes no window$"):
+            RunPlan(filters=(("input", None), ("input", window), ("lee", 5)))
+    for kind in ("lee",) + KINDS:
+        with pytest.raises(InvalidArgumentError, match=re.escape(
+                f"filter entry '{kind}' needs a window: {kind}:N, N in WINDOWS {WINDOWS}")):
+            RunPlan(filters=(("input", None), (kind, None)))
 
 
 # ----------------------------------------------------------------- protocol
@@ -443,16 +455,16 @@ def test_run_protocol_thread_count_is_invisible(tmp_path, monkeypatch):
 
 def test_run_protocol_caps_workers_at_the_usable_cpus(monkeypatch, tmp_path):
     # no process starts: the fork helper is a spy that records its worker
-    # count and runs every task here
+    # count and runs every contiguous run of tasks here
     sizes = []
 
-    def in_process(fn, items, workers):
-        sizes.append(workers)
-        return [fn(item) for item in items]
+    def in_process(fn, count, parts):
+        sizes.append(parts)
+        return [fn(count * p // parts, count * (p + 1) // parts) for p in range(parts)]
 
     plan = dataclasses.replace(tiny_plan(), situations=(1, 2, 3, 4), filters=(("input", None),))
     write_csv(run_protocol(plan), tmp_path / "t1.csv")
-    monkeypatch.setattr(harness, "_forked_map", in_process)
+    monkeypatch.setattr(harness, "_forked_spans", in_process)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     write_csv(run_protocol(plan, threads=64), tmp_path / "t64.csv")
     monkeypatch.delattr(harness.os, "sched_getaffinity")
@@ -463,21 +475,36 @@ def test_run_protocol_caps_workers_at_the_usable_cpus(monkeypatch, tmp_path):
         assert (tmp_path / name).read_bytes() == (tmp_path / "t1.csv").read_bytes()
 
 
+@pytest.mark.parametrize("count,parts", [(count, parts) for count in range(1, 8)
+                                         for parts in range(1, min(count, 3) + 1)])
+def test_forked_spans_tile_the_range_one_run_per_process(count, parts):
+    runs = harness._forked_spans(lambda start, stop: (start, stop, os.getpid()), count, parts)
+    assert len(runs) == parts
+    assert [start for start, _, _ in runs] == [0] + [stop for _, stop, _ in runs[:-1]]
+    assert runs[-1][1] == count
+    lengths = [stop - start for start, stop, _ in runs]
+    assert min(lengths) >= 1 and max(lengths) - min(lengths) <= 1
+    pids = [pid for _, _, pid in runs]
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == parts
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("failure", [DomainError("the caller's share failed"), KeyboardInterrupt()])
 def test_a_failing_callers_share_kills_the_running_children(failure):
-    # the caller runs item 0 and raises; the child running item 1 would
-    # sleep for a minute, and is killed and reaped instead
-    def fn(item):
-        if item == 0:
+    # the caller runs the run from 0 and raises; the child running the run
+    # from 1 would sleep for a minute, and is killed and reaped instead
+    def fn(start, stop):
+        if start == 0:
             raise failure
         time.sleep(60)
-        return item
+        return start
 
-    start = time.monotonic()
+    began = time.monotonic()
     with pytest.raises(type(failure)) as caught:
-        harness._forked_map(fn, [0, 1], 2)
+        harness._forked_spans(fn, 2, 2)
     assert caught.value is failure
-    assert time.monotonic() - start < 30
+    assert time.monotonic() - began < 30
     assert_no_child_left()
 
 
