@@ -17,12 +17,10 @@ import sys
 from .divergence import DOFS, KINDS, RENYI_ORDERS, SHARED_LOOKS, TestConfig
 from .errors import DespeckleError, InvalidArgumentError
 from .harness import (
-    BAND_PIXELS,
     SITUATIONS,
     RunPlan,
     corrupt,
     fast_plan,
-    filter_bands,
     make_phantom,
     replicate_stream,
     run_protocol,
@@ -30,8 +28,7 @@ from .harness import (
 )
 from .lee import LeeSpec, lee_filter
 from .metrics import METRIC_HEADER, compute_report
-# filter_image stays bound here, unread: perfbench's traced run rebinds it by name
-from .nmfilter import WINDOWS, FilterSpec, filter_image, mask_table_text
+from .nmfilter import BAND_PIXELS, WINDOWS, FilterSpec, filter_image, mask_table_text
 from .phantom import SIZES, default_geometry, read_geometry
 from .raster import FORMATS, read_raster, write_raster
 
@@ -199,7 +196,7 @@ def cmd_filter(args) -> int:
             dof=args.dof,
             shared_looks=args.shared,
         )
-        out = filter_bands(img, FilterSpec(window=args.window, test=cfg), args.threads)
+        out = filter_image(img, FilterSpec(window=args.window, test=cfg), args.threads)
     write_raster(out, args.out, args.format)
     return 0
 
@@ -278,6 +275,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _seed()  # a bad DESPECKLE_SEED fails every subcommand, like a bad --seed
+        folder = os.path.dirname(getattr(args, "out", "")) or "."  # before any input is read
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"--out {args.out}: no directory {folder!r}")
         return args.func(args)
     except (FileNotFoundError, InvalidArgumentError) as exc:
         # bad flag values and missing inputs are usage errors, like argparse's own

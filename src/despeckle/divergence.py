@@ -87,6 +87,7 @@ def sidak_level(overall_alpha: float, num_tests: int) -> float:
     """Per-test level 1 - (1 - alpha)^(1/t) for a series of t tests."""
     if not 0.0 < overall_alpha < 1.0:
         raise InvalidArgumentError("overall_alpha must be in (0, 1)")
+    check_integer(num_tests, "num_tests")
     if num_tests < 1:
         raise InvalidArgumentError("num_tests must be >= 1")
     # expm1/log1p form keeps full precision for small alpha

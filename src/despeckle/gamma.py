@@ -54,25 +54,25 @@ class FitResult:
     zero_shifted: bool = False
 
 
-def density(p: GammaParams, z):
-    """Gamma density at z (scalar or array); z must be strictly positive."""
+def _log_density(p: GammaParams, z) -> np.ndarray:
+    """Gamma log-density at z; z must be finite and strictly positive."""
     zarr = np.asarray(z, dtype=np.float64)
     if np.any(zarr <= 0) or not np.all(np.isfinite(zarr)):
         raise DomainError("density requires finite z > 0")
     L, lam = p.looks, p.mean
-    log_f = (
-        L * np.log(L)
-        - L * np.log(lam)
-        - math.lgamma(L)
-        + (L - 1.0) * np.log(zarr)
-        - L * zarr / lam
-    )
-    out = np.exp(log_f)
+    return (L * np.log(L) - L * np.log(lam) - math.lgamma(L)
+            + (L - 1.0) * np.log(zarr) - L * zarr / lam)
+
+
+def density(p: GammaParams, z):
+    """Gamma density at z (scalar or array); z must be strictly positive."""
+    out = np.exp(_log_density(p, z))
     return float(out) if np.isscalar(z) else out
 
 
 def log_likelihood(p: GammaParams, values) -> float:
-    return float(np.sum(np.log(density(p, np.asarray(values)))))
+    """Sum of the log-density over values, finite where the density underflows."""
+    return float(np.sum(_log_density(p, values)))
 
 
 # ---------------------------------------------------------------------------

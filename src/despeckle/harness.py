@@ -15,10 +15,6 @@ Rows are sorted before writing, making the CSV byte-stable.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import sys
 from dataclasses import dataclass
 from itertools import groupby
 from typing import NamedTuple
@@ -26,14 +22,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .divergence import KINDS, TestConfig
-from .errors import DespeckleError, DomainError, InvalidArgumentError, check_integer
+from .errors import DomainError, InvalidArgumentError, check_integer
+from .forks import _forked_spans, _workers
 from .gamma import unit_speckle
 from .lee import LeeSpec, lee_filter
 # compute_report stays bound here, unread: perfbench's traced run rebinds it by name
 from .metrics import MetricReport, Reference, compute_report, csv_cell
-from .nmfilter import WINDOWS, FilterSpec, _filter_rows, filter_image, nm_masks
+from .nmfilter import WINDOWS, FilterSpec, filter_image, nm_masks
 from .phantom import PhantomGeometry, default_geometry, render_phantom
-from .raster import Raster, pad_for_window
+from .raster import Raster
 
 
 class Situation(NamedTuple):
@@ -209,96 +206,6 @@ def _block_rows(plan, block):
     return rows
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (os.cpu_count() where the affinity
-    call is missing)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _workers(threads: int, jobs: int) -> int:
-    """The processes a parallel path runs on: min(threads, jobs, usable CPUs),
-    once threads is an integer >= 1."""
-    check_integer(threads, "threads")
-    if threads < 1:
-        raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
-    return min(threads, jobs, _usable_cpus())
-
-
-def _forked_spans(fn, count: int, parts: int) -> list:
-    """[fn(start, stop)] for the `parts` contiguous runs that split
-    range(count) in order, their lengths differing by at most one.
-
-    This process runs the first run itself; a child forked from it (POSIX
-    only) runs each other run and sends its result back pickled through a
-    pipe.  A child's exception reaches the caller with its class and message;
-    a child that ends without a result raises DespeckleError naming its exit
-    status.  No child outlives the call: when it raises, in this process's run
-    or from a child, the children not yet collected are killed, and every
-    child is reaped.  Python 3.12 and later may warn (DeprecationWarning) that
-    forking a process with live threads can deadlock: numpy's OpenBLAS starts
-    native threads at import.
-    """
-    edges = [count * p // parts for p in range(parts + 1)]
-    # a buffered line would otherwise be written again by each child
-    sys.stdout.flush()
-    sys.stderr.flush()
-    results = [None] * parts
-    children = {}  # run -> (pid, read end of its pipe), until reaped
-    try:
-        for run in range(1, parts):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _run_child(fn, edges[run], edges[run + 1], write)
-            os.close(write)
-            children[run] = pid, os.fdopen(read, "rb")
-        results[0] = fn(edges[0], edges[1])
-        for run, (pid, pipe) in list(children.items()):
-            payload = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[run]
-            pipe.close()
-            if not payload:
-                raise DespeckleError(
-                    f"worker process {pid} exited with status {status} and no result")
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            results[run] = value
-        return results
-    finally:
-        for pid, pipe in children.values():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _run_child(fn, start: int, stop: int, write: int):
-    """A forked child's whole life: run fn(start, stop), write (True, result)
-    or (False, exception) to the pipe, and exit, never returning into the
-    caller's stack.  An interrupt, or a reply that cannot be pickled, ends it
-    with status 1 and no payload."""
-    status = 1
-    try:
-        try:
-            reply = True, fn(start, stop)
-        except Exception as exc:
-            reply = False, exc
-        payload = pickle.dumps(reply)
-        with open(write, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def run_protocol(plan: RunPlan, threads: int = 1) -> list:
     """Execute the plan and return unsorted result rows (dicts), in task order.
 
@@ -317,35 +224,6 @@ def run_protocol(plan: RunPlan, threads: int = 1) -> list:
     chunks = _forked_spans(lambda start, stop: _block_rows(plan, tasks[start:stop]),
                            len(tasks), _workers(threads, len(tasks)))
     return [row for chunk in chunks for row in chunk]
-
-
-# Fewest pixels per row band, so filter_bands forks only from 2 * BAND_PIXELS
-# pixels.  Two bands on two processes against filter_image, default spec
-# (2-vCPU Xeon, numpy 2.4.6, shared host, 3 rounds of 11 alternating calls),
-# at 5x5 and 7x7: 128x128 0.55-0.83x and 0.61-1.03x, 128x160 0.84-0.88x and
-# 0.82-0.94x, 160x160 0.95-0.98x and 1.00-1.06x, 128x256 0.93-1.00x and
-# 0.95-1.17x, 192x192 1.07-1.19x and 1.10-1.28x, 256x256 1.32-1.41x and
-# 1.16-1.40x.  Every band gave filter_image's bytes.
-BAND_PIXELS = 18432
-
-
-def filter_bands(img: Raster, spec: FilterSpec, threads: int = 1) -> Raster:
-    """filter_image(img, spec), computed in row bands on up to `threads`
-    processes, with the same bytes.
-
-    The image is split into min(threads, usable CPUs, rows, pixels //
-    BAND_PIXELS) bands of whole rows.  One band runs filter_image in this
-    process.  Otherwise the image is padded once; this process filters the top
-    band and children forked from it (_forked_spans) the others.  Each pixel
-    depends on its window alone, so no band boundary shows in the output.
-    """
-    bands = min(_workers(threads, img.height), img.height * img.width // BAND_PIXELS)
-    if bands <= 1:
-        return filter_image(img, spec)
-    padded = pad_for_window(img, spec.window)
-    rows = _forked_spans(lambda first, last: _filter_rows(padded, first, last, spec),
-                         img.height, bands)
-    return Raster._adopt(np.concatenate(rows))
 
 
 def _row_sort_key(row):

@@ -43,6 +43,7 @@ from .divergence import (
     renyi_stat_array,
 )
 from .errors import InvalidArgumentError, OutOfBoundsError, check_integer
+from .forks import _forked_spans, _workers
 from .gamma import looks_below, range_shift, shift_zeros, solve_looks
 from .raster import Raster, pad_for_window
 from .windows import sum_rows
@@ -166,8 +167,8 @@ class FilterSpec:
 # _filter_rows alone calls the block function, on blocks of whole rows (np.sum
 # over one centre's (cells, 1) column would add pairwise).  The shifts are per
 # window and each sum adds a window's cells in one order, so a pixel depends on
-# its window alone: filter_pixel and a row band filtered on its own (as
-# harness.filter_bands does) give filter_image's bits.  Windows holding zeros
+# its window alone: filter_pixel and each row band filter_image cuts give the
+# bits of the whole image filtered at once.  Windows holding zeros
 # take the same path; only the values the tests see change.
 #
 # The engine works cells-major: a block's windows are copied as a (cells,
@@ -192,6 +193,15 @@ class FilterSpec:
 # 21.7-23.8, 20.3-21.3, 21.7-23.7 and 22.2-24.0 ms at 7x7; the output had the
 # same bytes at every size.
 BLOCK_PIXELS = 2048
+
+# Fewest pixels per row band, so filter_image forks only from 2 * BAND_PIXELS
+# pixels.  Two bands on two processes against one, default spec (2-vCPU Xeon,
+# numpy 2.4.6, shared host, 3 rounds of 11 alternating calls), at 5x5 and 7x7:
+# 128x128 0.55-0.83x and 0.61-1.03x, 128x160 0.84-0.88x and 0.82-0.94x,
+# 160x160 0.95-0.98x and 1.00-1.06x, 128x256 0.93-1.00x and 0.95-1.17x,
+# 192x192 1.07-1.19x and 1.10-1.28x, 256x256 1.32-1.41x and 1.16-1.40x.
+# Every band gave the one-process bytes.
+BAND_PIXELS = 18432
 
 
 class _Buffers:
@@ -340,10 +350,17 @@ def _filter_rows(padded: np.ndarray, first: int, last: int, spec: FilterSpec) ->
     return out
 
 
-def filter_image(img: Raster, spec: FilterSpec) -> Raster:
+def filter_image(img: Raster, spec: FilterSpec, threads: int = 1) -> Raster:
     """Filter every pixel once; mirror padding keeps the output size equal.
 
-    The engine runs in the caller's thread; harness.filter_bands splits a large
-    image into row bands on forked processes.
+    The image is padded once and cut into max(1, min(threads, usable CPUs,
+    rows, pixels // BAND_PIXELS)) bands of whole rows.  One band is filtered
+    in this process; otherwise this process filters the top band and children
+    forked from it (forks._forked_spans) the others.  Each pixel depends on its
+    window alone, so the output has the same bytes at any `threads`.
     """
-    return Raster._adopt(_filter_rows(pad_for_window(img, spec.window), 0, img.height, spec))
+    bands = max(1, min(_workers(threads, img.height), img.height * img.width // BAND_PIXELS))
+    padded = pad_for_window(img, spec.window)
+    rows = _forked_spans(lambda first, last: _filter_rows(padded, first, last, spec),
+                         img.height, bands)
+    return Raster._adopt(rows[0] if bands == 1 else np.concatenate(rows))

@@ -26,6 +26,7 @@ from despeckle import (
     cli,
     divergence,
     fast_plan,
+    forks,
     harness,
     nmfilter,
     phantom,
@@ -165,8 +166,8 @@ def test_filter_threads_flag_keeps_output(tmp_path, noisy_pair):
 
 
 @pytest.fixture()
-def forks(monkeypatch):
-    """The os.fork calls of harness, which still fork, on two usable CPUs."""
+def fork_calls(monkeypatch):
+    """The os.fork calls of the fork layer, which still fork, on two usable CPUs."""
     calls = []
     real = os.fork
 
@@ -174,13 +175,13 @@ def forks(monkeypatch):
         calls.append(1)
         return real()
 
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(harness.os, "fork", counted)
+    monkeypatch.setattr(forks, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forks.os, "fork", counted)
     return calls
 
 
 @pytest.mark.parametrize("window", ["5", "7"])
-def test_filter_threads_give_the_same_bytes_on_forked_bands(tmp_path, monkeypatch, forks,
+def test_filter_threads_give_the_same_bytes_on_forked_bands(tmp_path, monkeypatch, fork_calls,
                                                             window):
     # an odd height, zeros, a zero block and a 2^600 stripe, split into two
     # row bands of 18 and 19 rows
@@ -190,7 +191,7 @@ def test_filter_threads_give_the_same_bytes_on_forked_bands(tmp_path, monkeypatc
     arr[17:19, 30:] *= 2.0**600
     src = tmp_path / "in.raw"
     write_raster(Raster(arr), src, "raw")
-    monkeypatch.setattr(harness, "BAND_PIXELS", 100)
+    monkeypatch.setattr(nmfilter, "BAND_PIXELS", 100)
     for kind in divergence.KINDS + ("lee",):
         outputs = []
         for threads in ("1", "2"):
@@ -199,19 +200,19 @@ def test_filter_threads_give_the_same_bytes_on_forked_bands(tmp_path, monkeypatc
                        "--window", window, "--threads", threads) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1], kind
-    assert len(forks) == len(divergence.KINDS)  # lee stays in one process
+    assert len(fork_calls) == len(divergence.KINDS)  # lee stays in one process
     assert_no_child_left()
 
 
-def test_filter_threads_fork_only_for_a_large_image(tmp_path, forks):
+def test_filter_threads_fork_only_for_a_large_image(tmp_path, fork_calls):
     # the 64x256 strip perfbench filters stays in this process at --threads 2;
     # an image of 2 * BAND_PIXELS pixels forks one child
-    for shape, expected in (((64, 256), 0), ((64, 2 * harness.BAND_PIXELS // 64), 1)):
+    for shape, expected in (((64, 256), 0), ((64, 2 * nmfilter.BAND_PIXELS // 64), 1)):
         src, out = tmp_path / "in.raw", tmp_path / "out.raw"
         write_raster(Raster(100.0 * unit_speckle(3.0, shape, np.random.default_rng(9))), src, "raw")
-        forks.clear()
+        fork_calls.clear()
         assert run("filter", "--in", str(src), "--out", str(out), "--threads", "2") == 0
-        assert len(forks) == expected, shape
+        assert len(fork_calls) == expected, shape
     assert_no_child_left()
 
 
@@ -528,6 +529,29 @@ def test_usage_errors_exit_2(tmp_path, noisy_pair, monkeypatch, capsys):
     assert run("filter", "--in", str(noisy), "--out", str(tmp_path / "x.raw"),
                "--filter", "renyi", "--beta", "1e-320") == 2
     assert not (tmp_path / "x.raw").exists()
+
+
+def test_an_out_in_a_missing_directory_is_refused_before_any_work(tmp_path, noisy_pair,
+                                                                  monkeypatch, capsys):
+    # montecarlo --seed 0 once ran the whole protocol before write_csv failed
+    calls = []
+
+    def spy(name):
+        def refuse(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran before --out was checked")
+        return refuse
+
+    for name in ("run_protocol", "read_raster", "filter_image", "lee_filter"):
+        monkeypatch.setattr(cli, name, spy(name))
+    out = tmp_path / "missing"
+    capsys.readouterr()
+    assert run("montecarlo", "--fast", "--out", str(out / "x.csv")) == 2
+    assert f"no directory {str(out)!r}" in capsys.readouterr().err
+    for kind in ("hellinger", "lee"):
+        assert run("filter", "--in", str(noisy_pair[1]), "--filter", kind,
+                   "--out", str(out / "x.raw")) == 2
+    assert calls == [] and not out.exists()
 
 
 def test_usage_error_prints_usage(tmp_path, capsys):

@@ -50,6 +50,16 @@ def test_sidak_validation():
         sidak_level(0.1, 0)
 
 
+def test_sidak_level_refuses_a_count_that_is_not_an_integer():
+    # 2.5 once gave a level between those of 2 and 3 tests, and True that of 1
+    for count in (2.5, True, 8.0):
+        with pytest.raises(InvalidArgumentError, match="num_tests must be an integer"):
+            sidak_level(0.2, count)
+    with pytest.raises(InvalidArgumentError, match="num_tests must be >= 1"):
+        sidak_level(0.2, 0)
+    assert sidak_level(0.2, np.int64(8)) == sidak_level(0.2, 8)
+
+
 # ---------------------------------------------------------------- statistics
 
 

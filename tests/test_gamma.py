@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from conftest import bisect_200, stream
 from despeckle import (
@@ -80,6 +80,16 @@ def test_log_likelihood_matches_density():
     values = np.array([3.0, 8.0, 15.0])
     expected = float(np.sum(np.log([density(p, v) for v in values])))
     assert log_likelihood(p, values) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("looks,mean,values", [(3.0, 100.0, [1e5]), (1e4, 1.0, [1e-300, 1.0])])
+def test_log_likelihood_stays_finite_where_the_density_underflows(looks, mean, values):
+    # the density is 0.0 at these points; the log-density is -2988.19 and
+    # -6,897,057.13, not -inf
+    with np.errstate(all="raise"):
+        got = log_likelihood(GammaParams(looks, mean), values)
+    expected = float(np.sum(stats.gamma.logpdf(values, looks, scale=mean / looks)))
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_sample_mean_clt_bound():

@@ -28,7 +28,7 @@ from despeckle import (
     sample,
     unit_speckle,
 )
-from despeckle import divergence, harness, nmfilter
+from despeckle import divergence, forks, nmfilter
 from despeckle.divergence import (
     KINDS,
     sidak_level,
@@ -404,17 +404,17 @@ def test_filter_output_matches_frozen_digest(kind, window, variant):
 @pytest.mark.parametrize("kind,window,variant", DIGEST_CASES)
 def test_row_bands_match_frozen_digest(monkeypatch, kind, window, variant, workers):
     # the 32x128 strip split into `workers` row bands, one per process
-    monkeypatch.setattr(harness, "BAND_PIXELS", 64)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(nmfilter, "BAND_PIXELS", 64)
+    monkeypatch.setattr(forks, "_usable_cpus", lambda: 3)
     calls = []
-    real = harness._forked_spans
+    real = nmfilter._forked_spans
 
     def spy(fn, count, parts):
         calls.append(parts)
         return real(fn, count, parts)
 
-    monkeypatch.setattr(harness, "_forked_spans", spy)
-    out = harness.filter_bands(*digest_case(kind, window, variant), threads=workers)
+    monkeypatch.setattr(nmfilter, "_forked_spans", spy)
+    out = filter_image(*digest_case(kind, window, variant), threads=workers)
     assert calls == [workers]
     assert hashlib.sha256(out.array.tobytes()).hexdigest() == FILTER_DIGESTS[kind, window, variant]
     assert_no_child_left()

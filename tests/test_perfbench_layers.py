@@ -67,8 +67,8 @@ def _fork_sites(tree):
     return visit(tree, None)
 
 
-def test_no_parallel_library_and_only_harness_forks():
-    # harness._forked_spans is the one parallel layer: it alone calls
+def test_no_parallel_library_and_one_fork_site():
+    # forks._forked_spans is the one parallel layer: it alone calls
     # os.fork, and no module loads a pool or thread library
     parallel = {"concurrent", "threading", "multiprocessing"}
     imports, forks = [], []
@@ -84,7 +84,7 @@ def test_no_parallel_library_and_only_harness_forks():
                     imports.append((path.stem, node.module))
         forks += [(path.stem, function) for function in _fork_sites(tree)]
     assert imports == []
-    assert forks == [("harness", "_forked_spans")]
+    assert forks == [("forks", "_forked_spans")]
 
 
 def test_montecarlo_passes_threads_by_keyword(targets, monkeypatch, tmp_path):

@@ -6,6 +6,7 @@ import re
 import time
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from despeckle import (
     default_geometry,
     enl,
     errors,
+    forks,
     harness,
     metrics,
     read_geometry,
@@ -435,7 +437,7 @@ def test_run_protocol_refuses_fewer_than_one_worker(monkeypatch):
 
 
 def test_run_protocol_thread_count_is_invisible(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(forks, "_usable_cpus", lambda: 4)
     # tiny_plan has 2 tasks: 3 and 5 ask for more workers than tasks.  The 6
     # tasks of 2 situations x 3 replicates cut into blocks that cross from
     # situation 1 to 2 at 1 and 3 workers, and that do not at 2 and 4.
@@ -465,10 +467,10 @@ def test_run_protocol_caps_workers_at_the_usable_cpus(monkeypatch, tmp_path):
     plan = dataclasses.replace(tiny_plan(), situations=(1, 2, 3, 4), filters=(("input", None),))
     write_csv(run_protocol(plan), tmp_path / "t1.csv")
     monkeypatch.setattr(harness, "_forked_spans", in_process)
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(forks.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     write_csv(run_protocol(plan, threads=64), tmp_path / "t64.csv")
-    monkeypatch.delattr(harness.os, "sched_getaffinity")
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    monkeypatch.delattr(forks.os, "sched_getaffinity")
+    monkeypatch.setattr(forks.os, "cpu_count", lambda: 3)
     write_csv(run_protocol(plan, threads=64), tmp_path / "t64-no-affinity.csv")
     assert sizes == [2, 3]
     for name in ("t64.csv", "t64-no-affinity.csv"):
@@ -478,7 +480,7 @@ def test_run_protocol_caps_workers_at_the_usable_cpus(monkeypatch, tmp_path):
 @pytest.mark.parametrize("count,parts", [(count, parts) for count in range(1, 8)
                                          for parts in range(1, min(count, 3) + 1)])
 def test_forked_spans_tile_the_range_one_run_per_process(count, parts):
-    runs = harness._forked_spans(lambda start, stop: (start, stop, os.getpid()), count, parts)
+    runs = forks._forked_spans(lambda start, stop: (start, stop, os.getpid()), count, parts)
     assert len(runs) == parts
     assert [start for start, _, _ in runs] == [0] + [stop for _, stop, _ in runs[:-1]]
     assert runs[-1][1] == count
@@ -502,7 +504,7 @@ def test_a_failing_callers_share_kills_the_running_children(failure):
 
     began = time.monotonic()
     with pytest.raises(type(failure)) as caught:
-        harness._forked_spans(fn, 2, 2)
+        forks._forked_spans(fn, 2, 2)
     assert caught.value is failure
     assert time.monotonic() - began < 30
     assert_no_child_left()
@@ -518,7 +520,7 @@ def test_a_child_that_sends_no_result_is_named_by_its_status(tmp_path, monkeypat
         return real(plan, references, task)
 
     monkeypatch.setattr(harness, "_replicate_rows", exit_in_children)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forks, "_usable_cpus", lambda: 2)
     plan = fast_plan(situations=(2, 3), replicates=1, filters=(("input", None),))
     with pytest.raises(DespeckleError, match="exited with status 3 and no result"):
         run_protocol(plan, threads=2)
@@ -630,7 +632,7 @@ def test_worker_errors_reach_the_caller_unchanged(tmp_path, monkeypatch):
         return real(reference, tests)
 
     monkeypatch.setattr(metrics.Reference, "reports", failing)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forks, "_usable_cpus", lambda: 2)
     plan = fast_plan(situations=(2, 3), replicates=2, filters=(("input", None),))
     with pytest.raises(DegenerateRegionError) as caught:
         run_protocol(plan, threads=2)
@@ -669,3 +671,15 @@ def test_csv_header_is_pinned():
         "filter,window,level,situation,replicate,"
         "enl,line_contrast_error,edge_gradient,edge_variance,q_mean,q_std,beta_rho"
     )
+
+
+def test_readme_library_use_block_runs(tmp_path, monkeypatch):
+    # the README's "Library use" example, run as written: it writes results.csv
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("\n## Library use\n"):]
+    block = section[section.index("```python\n") + len("```python\n"):]
+    block = block[:block.index("\n```")]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md (Library use)", "exec"), {})
+    assert (tmp_path / "results.csv").stat().st_size > 0
+    assert_no_child_left()
